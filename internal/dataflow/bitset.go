@@ -28,6 +28,10 @@ func (s *BitSet) Clear(i int) { s.words[i/64] &^= 1 << (uint(i) % 64) }
 // Has reports whether i is in the set.
 func (s *BitSet) Has(i int) bool { return s.words[i/64]&(1<<(uint(i)%64)) != 0 }
 
+// Word returns the i'th 64-bit word of the set: element 64*i+k is
+// bit k of word i. It lets callers combine sets a word at a time.
+func (s *BitSet) Word(i int) uint64 { return s.words[i] }
+
 // Count returns the number of elements.
 func (s *BitSet) Count() int {
 	c := 0

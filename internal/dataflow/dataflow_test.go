@@ -27,6 +27,9 @@ func TestBitSetBasics(t *testing.T) {
 	if len(got) != 2 || got[0] != 0 || got[1] != 129 {
 		t.Errorf("ForEach = %v", got)
 	}
+	if s.Word(0) != 1 || s.Word(1) != 0 || s.Word(2) != 2 {
+		t.Errorf("Word = %#x %#x %#x, want 0x1 0x0 0x2", s.Word(0), s.Word(1), s.Word(2))
+	}
 	c := s.Clone()
 	if !c.Equal(s) {
 		t.Error("Clone not equal")

@@ -26,11 +26,24 @@
 // them. On a unit-cost machine (the classic preset) the priced cost
 // equals the uniform cost integer for integer, so classic machine
 // pricing is byte-identical to the default allocator.
+//
+// The interference graph is dense, the classic Chaitin/Briggs layout:
+// virtual register i is node i, per-node facts (degree, def/use cost,
+// call crossing, precolor) are slices indexed by i, and adjacency is a
+// NumVirt × ⌈NumVirt/64⌉ bit matrix. Because virtual registers start at
+// a word boundary of the liveness bit sets, a def's interferences are
+// added a word at a time. Simplify keeps a ready bit set of the nodes
+// whose degree is below their allowed color count and removes its
+// lowest member; degrees only fall, so this is the same "first
+// eligible node in register order" rule as a full rescan. Every choice
+// breaks ties toward the lowest register, including the neighbor
+// spilled when a precolored node's register is taken, so an allocation
+// is fully determined by its input.
 package regalloc
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -84,8 +97,8 @@ func newPricer(m *machine.Desc, opts Options) pricer {
 	return pricer{store: 1, load: 1}
 }
 
-func (p pricer) of(n *node) int64 {
-	return n.defCost*p.store + n.useCost*p.load
+func (p pricer) of(g *graph, i int) int64 {
+	return g.defCost[i]*p.store + g.useCost[i]*p.load
 }
 
 // maxRounds bounds spill-and-retry iteration; each round strictly
@@ -140,15 +153,23 @@ func AllocateOpts(f *ir.Func, m *machine.Desc, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("regalloc: %s has %d params, machine passes at most %d",
 			f.Name, len(f.Params), len(m.ArgRegs))
 	}
-	precolor := make(map[ir.Reg]ir.Reg)
 	lowerParams(f, m)
-	lowerReturns(f, m, precolor)
+	rets := lowerReturns(f)
+	// precolor is indexed by VirtNum; the spill temps created later
+	// lie past its end and are never precolored.
+	precolor := make([]ir.Reg, f.NumVirt)
+	for i := range precolor {
+		precolor[i] = ir.NoReg
+	}
+	for _, r := range rets {
+		precolor[r.VirtNum()] = m.RetReg
+	}
+	for i, p := range f.Params {
+		precolor[p.VirtNum()] = m.ArgRegs[i]
+	}
 
 	res := &Result{}
-	noSpill := make(map[ir.Reg]bool) // spill temps must not respill
-	for i, p := range f.Params {
-		precolor[p] = m.ArgRegs[i]
-	}
+	var noSpill []bool // indexed by VirtNum: spill temps must not respill
 
 	pr := newPricer(m, opts)
 	for round := 0; ; round++ {
@@ -156,7 +177,7 @@ func AllocateOpts(f *ir.Func, m *machine.Desc, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("regalloc: %s did not converge after %d rounds", f.Name, maxRounds)
 		}
 		res.Iterations++
-		g := buildGraph(f, m, precolor)
+		g := buildGraph(f, precolor)
 		colors, spills := color(g, m, noSpill, pr)
 		if len(spills) == 0 {
 			rewrite(f, colors)
@@ -165,10 +186,10 @@ func AllocateOpts(f *ir.Func, m *machine.Desc, opts Options) (*Result, error) {
 			return res, nil
 		}
 		for _, v := range spills {
-			n := g.nodes[v]
+			i := v.VirtNum()
 			res.Spilled = append(res.Spilled, v)
-			res.SpillWebs = append(res.SpillWebs, SpillWeb{Reg: v, DefWeight: n.defCost, UseWeight: n.useCost})
-			insertSpillCode(f, v, noSpill)
+			res.SpillWebs = append(res.SpillWebs, SpillWeb{Reg: v, DefWeight: g.defCost[i], UseWeight: g.useCost[i]})
+			noSpill = insertSpillCode(f, v, noSpill)
 		}
 	}
 }
@@ -190,72 +211,115 @@ func lowerParams(f *ir.Func, m *machine.Desc) {
 }
 
 // lowerReturns moves every returned value into the machine's return
-// register through a fresh precolored virtual: `ret v` becomes
-// `t = mov v; ret t` with t pinned to RetReg. Without this a return
+// register through a fresh virtual: `ret v` becomes `t = mov v; ret t`,
+// and the caller pins each returned t to RetReg. Without this a return
 // value could be allocated to a callee-saved register, which the exit
 // restore would clobber.
-func lowerReturns(f *ir.Func, m *machine.Desc, precolor map[ir.Reg]ir.Reg) {
+func lowerReturns(f *ir.Func) []ir.Reg {
+	var rets []ir.Reg
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil || t.Op != ir.OpRet || !t.Src1.IsValid() {
 			continue
 		}
 		nv := f.NewVirt()
-		precolor[nv] = m.RetReg
+		rets = append(rets, nv)
 		mv := &ir.Instr{Op: ir.OpMov, Dst: nv, Src1: t.Src1, Src2: ir.NoReg}
 		b.InsertBeforeTerminator(mv)
 		t.Src1 = nv
 	}
+	return rets
 }
 
-// node is one interference graph vertex.
-type node struct {
-	reg      ir.Reg
-	adj      map[ir.Reg]bool
-	degree   int
-	defCost  int64 // profile-weighted def count
-	useCost  int64 // profile-weighted use count
-	crossing bool  // live across a call: callee-saved only
-	forbid   map[ir.Reg]bool
-	pre      ir.Reg // precolored register or NoReg
-	removed  bool
-}
+// firstVirtWord is the liveness BitSet word that holds virtual
+// register 0. VirtBase is a multiple of 64 (asserted below), so
+// virtual register i is bit i%64 of word firstVirtWord+i/64, and a row
+// of the adjacency matrix lines up word for word with a liveness set.
+const firstVirtWord = int(ir.VirtBase / 64)
 
+var _ = [1]int{}[ir.VirtBase%64] // VirtBase must be word-aligned
+
+// graph is the interference graph over a function's virtual
+// registers. Node i is ir.Virt(i); per-node facts are slices indexed
+// by i, and adjacency is an n × words bit matrix whose row i holds the
+// neighbors of node i. A virtual that no instruction references has
+// no node: its exists bit is clear and nothing else reads its entries.
 type graph struct {
-	nodes map[ir.Reg]*node
-	order []ir.Reg // deterministic iteration order
+	n, words int
+	adj      []uint64 // row i is adj[i*words : (i+1)*words]
+	exists   []uint64 // bit set of nodes
+	crossing []uint64 // live across a call: callee-saved only
+	degree   []int
+	defCost  []int64  // profile-weighted def count
+	useCost  []int64  // profile-weighted use count
+	pre      []ir.Reg // precolored register or NoReg
 }
 
-func (g *graph) node(r ir.Reg) *node {
-	n := g.nodes[r]
-	if n == nil {
-		n = &node{reg: r, adj: make(map[ir.Reg]bool), forbid: make(map[ir.Reg]bool), pre: ir.NoReg}
-		g.nodes[r] = n
-		g.order = append(g.order, r)
+func newGraph(n int) *graph {
+	words := (n + 63) / 64
+	g := &graph{
+		n:        n,
+		words:    words,
+		adj:      make([]uint64, n*words),
+		exists:   make([]uint64, words),
+		crossing: make([]uint64, words),
+		degree:   make([]int, n),
+		defCost:  make([]int64, n),
+		useCost:  make([]int64, n),
+		pre:      make([]ir.Reg, n),
 	}
-	return n
+	for i := range g.pre {
+		g.pre[i] = ir.NoReg
+	}
+	return g
 }
 
-func (g *graph) addEdge(a, b ir.Reg) {
-	if a == b {
+func (g *graph) row(i int) []uint64 {
+	return g.adj[i*g.words : (i+1)*g.words : (i+1)*g.words]
+}
+
+func (g *graph) addEdge(a, b int) {
+	setBit(g.exists, a)
+	setBit(g.exists, b)
+	if a == b || hasBit(g.row(a), b) {
 		return
 	}
-	na, nb := g.node(a), g.node(b)
-	if !na.adj[b] {
-		na.adj[b] = true
-		na.degree++
-		nb.adj[a] = true
-		nb.degree++
+	setBit(g.row(a), b)
+	setBit(g.row(b), a)
+	g.degree[a]++
+	g.degree[b]++
+}
+
+// interfere adds an edge from node d to every virtual register in
+// live that d does not already neighbor, a word at a time.
+func (g *graph) interfere(d int, live *dataflow.BitSet) {
+	row := g.row(d)
+	for w := range row {
+		fresh := live.Word(firstVirtWord+w) &^ row[w]
+		if w == d/64 {
+			fresh &^= 1 << (uint(d) % 64)
+		}
+		if fresh == 0 {
+			continue
+		}
+		row[w] |= fresh
+		g.degree[d] += bits.OnesCount64(fresh)
+		for ; fresh != 0; fresh &= fresh - 1 {
+			r := w*64 + bits.TrailingZeros64(fresh)
+			setBit(g.row(r), d)
+			g.degree[r]++
+		}
 	}
 }
 
 // buildGraph computes liveness and constructs the interference graph
-// over virtual registers.
-func buildGraph(f *ir.Func, m *machine.Desc, precolor map[ir.Reg]ir.Reg) *graph {
+// over virtual registers. precolor is indexed by VirtNum; virtuals past
+// its end are not precolored.
+func buildGraph(f *ir.Func, precolor []ir.Reg) *graph {
 	lv := dataflow.ComputeLiveness(f)
-	g := &graph{nodes: make(map[ir.Reg]*node)}
+	g := newGraph(f.NumVirt)
 
-	// Ensure every referenced virtual register has a node.
+	// Every referenced virtual register is a node.
 	var buf []ir.Reg
 	for _, b := range f.Blocks {
 		w := b.ExecCount()
@@ -264,239 +328,249 @@ func buildGraph(f *ir.Func, m *machine.Desc, precolor map[ir.Reg]ir.Reg) *graph 
 		}
 		for _, in := range b.Instrs {
 			if d := in.Def(); d.IsVirt() {
-				g.node(d).defCost += w
+				setBit(g.exists, d.VirtNum())
+				g.defCost[d.VirtNum()] += w
 			}
-			for _, u := range in.Uses(buf[:0]) {
+			buf = in.Uses(buf[:0])
+			for _, u := range buf {
 				if u.IsVirt() {
-					g.node(u).useCost += w
+					setBit(g.exists, u.VirtNum())
+					g.useCost[u.VirtNum()] += w
 				}
 			}
-			buf = buf[:0]
 		}
 	}
 
 	// Parameters are all simultaneously live at entry.
 	for i := 0; i < len(f.Params); i++ {
 		for j := i + 1; j < len(f.Params); j++ {
-			g.addEdge(f.Params[i], f.Params[j])
+			g.addEdge(f.Params[i].VirtNum(), f.Params[j].VirtNum())
 		}
 	}
 
 	// Backward scan per block: def interferes with everything live
 	// after it; calls make crossing virtuals callee-saved-only.
+	live := dataflow.NewBitSet(dataflow.Universe(f))
 	for _, b := range f.Blocks {
-		live := lv.Out[b.ID].Clone()
+		live.CopyFrom(lv.Out[b.ID])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
-			if d := in.Def(); d.IsVirt() {
-				live.ForEach(func(ri int) {
-					r := ir.Reg(ri)
-					if r.IsVirt() && r != d {
-						g.addEdge(d, r)
-					}
-				})
+			d := in.Def()
+			if d.IsVirt() {
+				g.interfere(d.VirtNum(), live)
 			}
-			if d := in.Def(); d.IsValid() {
+			if d.IsValid() {
 				live.Clear(int(d))
 			}
 			if in.Op == ir.OpCall {
 				// Everything live across the call (after the def is
 				// removed) must avoid caller-saved registers.
-				live.ForEach(func(ri int) {
-					r := ir.Reg(ri)
-					if r.IsVirt() {
-						g.node(r).crossing = true
-					}
-				})
+				for w := range g.crossing {
+					g.crossing[w] |= live.Word(firstVirtWord + w)
+				}
 			}
-			for _, u := range in.Uses(buf[:0]) {
+			buf = in.Uses(buf[:0])
+			for _, u := range buf {
 				if u.IsValid() {
 					live.Set(int(u))
 				}
 			}
-			buf = buf[:0]
 		}
 	}
 
-	for v, p := range precolor {
-		if n, ok := g.nodes[v]; ok {
-			n.pre = p
-		}
-	}
-	sort.Slice(g.order, func(i, j int) bool { return g.order[i] < g.order[j] })
+	copy(g.pre, precolor)
 	return g
 }
 
-// allowedCount returns how many colors a node could take in principle.
-func allowedCount(n *node, m *machine.Desc) int {
-	if n.pre != ir.NoReg {
+// allowedCount returns how many colors node i could take in principle.
+func allowedCount(g *graph, i int, m *machine.Desc) int {
+	if g.pre[i] != ir.NoReg {
 		return 1
 	}
-	if n.crossing {
+	if hasBit(g.crossing, i) {
 		return m.NumCalleeSaved()
 	}
 	return m.NumRegs
 }
 
 // color runs simplify/select with optimistic coloring. It returns the
-// chosen colors, or the virtual registers to spill when coloring
-// failed.
-func color(g *graph, m *machine.Desc, noSpill map[ir.Reg]bool, pr pricer) (map[ir.Reg]ir.Reg, []ir.Reg) {
-	// Simplify: repeatedly remove a node with degree < allowed; if
-	// none qualifies, optimistically remove the cheapest (potential
-	// spill).
-	var stack []ir.Reg
-	remaining := len(g.order)
-	degree := make(map[ir.Reg]int, remaining)
-	for _, r := range g.order {
-		degree[r] = g.nodes[r].degree
+// chosen colors indexed by VirtNum (NoReg where uncolored), or the
+// virtual registers to spill when coloring failed.
+func color(g *graph, m *machine.Desc, noSpill []bool, pr pricer) ([]ir.Reg, []ir.Reg) {
+	// Simplify: repeatedly remove the lowest-numbered node with degree
+	// < allowed; if none qualifies, optimistically remove the cheapest
+	// (potential spill). ready holds exactly the remaining nodes with
+	// degree < allowed: degrees only fall, so a node joins ready at
+	// most once and leaves it only when removed.
+	degree := append([]int(nil), g.degree...)
+	allowed := make([]int, g.n)
+	removed := make([]uint64, g.words)
+	ready := make([]uint64, g.words)
+	count := 0
+	for w, x := range g.exists {
+		for ; x != 0; x &= x - 1 {
+			r := w*64 + bits.TrailingZeros64(x)
+			allowed[r] = allowedCount(g, r, m)
+			if degree[r] < allowed[r] {
+				setBit(ready, r)
+			}
+			count++
+		}
 	}
-	removeNode := func(r ir.Reg) {
-		n := g.nodes[r]
-		n.removed = true
-		for a := range n.adj {
-			if !g.nodes[a].removed {
+	stack := make([]int, 0, count)
+	for len(stack) < count {
+		r := firstBit(ready)
+		if r < 0 {
+			r = spillCandidate(g, degree, removed, noSpill, pr)
+		}
+		setBit(removed, r)
+		clearBit(ready, r)
+		for w, x := range g.row(r) {
+			for x &^= removed[w]; x != 0; x &= x - 1 {
+				a := w*64 + bits.TrailingZeros64(x)
 				degree[a]--
+				if degree[a] < allowed[a] {
+					setBit(ready, a)
+				}
 			}
 		}
 		stack = append(stack, r)
-		remaining--
 	}
-	for remaining > 0 {
-		found := false
-		for _, r := range g.order {
-			n := g.nodes[r]
-			if n.removed {
+
+	// Select in reverse order. Caller-saved registers are numbered
+	// below callee-saved ones, so "prefer caller-saved (cheapest), then
+	// callee-saved" is the lowest free register.
+	colors := make([]ir.Reg, g.n)
+	for i := range colors {
+		colors[i] = ir.NoReg
+	}
+	var spills []ir.Reg
+	allRegs := lowMask(m.NumRegs)
+	calleeRegs := allRegs &^ lowMask(m.CalleeSavedFrom)
+	for i := len(stack) - 1; i >= 0; i-- {
+		r := stack[i]
+		var inUse uint64
+		for w, x := range g.row(r) {
+			for ; x != 0; x &= x - 1 {
+				if c := colors[w*64+bits.TrailingZeros64(x)]; c != ir.NoReg {
+					inUse |= 1 << uint(c)
+				}
+			}
+		}
+		if pre := g.pre[r]; pre != ir.NoReg {
+			if inUse&(1<<uint(pre)) != 0 {
+				// A precolored conflict means a neighbor must spill,
+				// not the precolored node.
+				spills = append(spills, pickNeighborSpill(g, r, noSpill, pr))
 				continue
 			}
-			if degree[r] < allowedCount(n, m) {
-				removeNode(r)
-				found = true
-				break
-			}
-		}
-		if found {
+			colors[r] = pre
 			continue
 		}
-		// Optimistic push of the best spill candidate: lowest
-		// cost/degree ratio among spillable nodes.
-		var best ir.Reg = ir.NoReg
-		var bestScore float64
-		for _, r := range g.order {
-			n := g.nodes[r]
-			if n.removed || noSpill[r] || n.pre != ir.NoReg {
+		free := allRegs &^ inUse
+		if hasBit(g.crossing, r) {
+			free &= calleeRegs
+		}
+		if free == 0 {
+			spills = append(spills, ir.Virt(r))
+			continue
+		}
+		colors[r] = ir.Phys(bits.TrailingZeros64(free))
+	}
+	return colors, dedupRegs(spills, g.n)
+}
+
+// spillCandidate picks the node to push optimistically when no
+// remaining node is trivially colorable: the lowest cost/degree ratio
+// among spillable remaining nodes (the lowest register on a tie), or
+// the lowest remaining node when none is spillable.
+func spillCandidate(g *graph, degree []int, removed []uint64, noSpill []bool, pr pricer) int {
+	best, first := -1, -1
+	var bestScore float64
+	for w, x := range g.exists {
+		for x &^= removed[w]; x != 0; x &= x - 1 {
+			r := w*64 + bits.TrailingZeros64(x)
+			if first < 0 {
+				first = r
+			}
+			if isNoSpill(noSpill, r) || g.pre[r] != ir.NoReg {
 				continue
 			}
 			d := degree[r]
 			if d == 0 {
 				d = 1
 			}
-			score := float64(pr.of(n)) / float64(d)
-			if best == ir.NoReg || score < bestScore {
+			score := float64(pr.of(g, r)) / float64(d)
+			if best < 0 || score < bestScore {
 				best, bestScore = r, score
 			}
 		}
-		if best == ir.NoReg {
-			// Only unspillable nodes left; push any.
-			for _, r := range g.order {
-				if !g.nodes[r].removed {
-					best = r
-					break
-				}
-			}
-		}
-		removeNode(best)
 	}
-
-	// Select in reverse order.
-	colors := make(map[ir.Reg]ir.Reg, len(stack))
-	var spills []ir.Reg
-	callerPref := m.CallerSaved()
-	calleePref := m.CalleeSaved()
-	for i := len(stack) - 1; i >= 0; i-- {
-		r := stack[i]
-		n := g.nodes[r]
-		inUse := make(map[ir.Reg]bool)
-		for a := range n.adj {
-			if c, ok := colors[a]; ok {
-				inUse[c] = true
-			}
-		}
-		var choice ir.Reg = ir.NoReg
-		if n.pre != ir.NoReg {
-			if inUse[n.pre] {
-				// A precolored conflict means a neighbor must spill,
-				// not the precolored node.
-				spills = append(spills, pickNeighborSpill(g, n, noSpill, pr))
-				continue
-			}
-			choice = n.pre
-		} else if n.crossing {
-			for _, c := range calleePref {
-				if !inUse[c] && !n.forbid[c] {
-					choice = c
-					break
-				}
-			}
-		} else {
-			// Prefer caller-saved (cheapest), then callee-saved.
-			for _, c := range callerPref {
-				if !inUse[c] && !n.forbid[c] {
-					choice = c
-					break
-				}
-			}
-			if choice == ir.NoReg {
-				for _, c := range calleePref {
-					if !inUse[c] && !n.forbid[c] {
-						choice = c
-						break
-					}
-				}
-			}
-		}
-		if choice == ir.NoReg {
-			spills = append(spills, r)
-			continue
-		}
-		colors[r] = choice
-	}
-	return colors, dedupRegs(spills)
-}
-
-// pickNeighborSpill selects the cheapest already-colored or pending
-// neighbor of a precolored node to spill.
-func pickNeighborSpill(g *graph, n *node, noSpill map[ir.Reg]bool, pr pricer) ir.Reg {
-	var best ir.Reg = ir.NoReg
-	var bestCost int64
-	for a := range n.adj {
-		na := g.nodes[a]
-		if na.pre != ir.NoReg || noSpill[a] {
-			continue
-		}
-		if c := pr.of(na); best == ir.NoReg || c < bestCost {
-			best, bestCost = a, c
-		}
-	}
-	if best == ir.NoReg {
-		// Nothing reasonable; fall back to the precolored node itself
-		// (will error upstream if it recurs).
-		return n.reg
+	if best < 0 {
+		// Only unspillable nodes left; push any.
+		return first
 	}
 	return best
 }
 
-func dedupRegs(rs []ir.Reg) []ir.Reg {
-	seen := make(map[ir.Reg]bool, len(rs))
+// pickNeighborSpill selects the cheapest already-colored or pending
+// neighbor of precolored node v to spill; a cost tie goes to the
+// lowest register.
+func pickNeighborSpill(g *graph, v int, noSpill []bool, pr pricer) ir.Reg {
+	best := -1
+	var bestCost int64
+	for w, x := range g.row(v) {
+		for ; x != 0; x &= x - 1 {
+			a := w*64 + bits.TrailingZeros64(x)
+			if g.pre[a] != ir.NoReg || isNoSpill(noSpill, a) {
+				continue
+			}
+			if c := pr.of(g, a); best < 0 || c < bestCost {
+				best, bestCost = a, c
+			}
+		}
+	}
+	if best < 0 {
+		// Nothing reasonable; fall back to the precolored node itself
+		// (will error upstream if it recurs).
+		return ir.Virt(v)
+	}
+	return ir.Virt(best)
+}
+
+// dedupRegs drops repeated virtual registers below Virt(n), keeping
+// first occurrences in order.
+func dedupRegs(rs []ir.Reg, n int) []ir.Reg {
+	seen := make([]uint64, (n+63)/64)
 	out := rs[:0]
 	for _, r := range rs {
-		if !seen[r] {
-			seen[r] = true
+		if i := r.VirtNum(); !hasBit(seen, i) {
+			setBit(seen, i)
 			out = append(out, r)
 		}
 	}
 	return out
 }
+
+func hasBit(s []uint64, i int) bool { return s[i/64]&(1<<(uint(i)%64)) != 0 }
+func setBit(s []uint64, i int)      { s[i/64] |= 1 << (uint(i) % 64) }
+func clearBit(s []uint64, i int)    { s[i/64] &^= 1 << (uint(i) % 64) }
+
+// firstBit returns the lowest element of s, or -1 when s is empty.
+func firstBit(s []uint64) int {
+	for w, x := range s {
+		if x != 0 {
+			return w*64 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// lowMask returns the mask of registers [0, n); n may be 64.
+func lowMask(n int) uint64 { return 1<<uint(n) - 1 }
+
+// isNoSpill reports whether virtual i is a spill temporary.
+func isNoSpill(noSpill []bool, i int) bool { return i < len(noSpill) && noSpill[i] }
 
 // exactSpillSlots resizes f.SpillSlots to exactly cover the spill
 // slots the final code references, so the VM's fixed-size frames never
@@ -506,8 +580,9 @@ func exactSpillSlots(f *ir.Func) {
 }
 
 // insertSpillCode assigns v a stack slot and rewrites every use and
-// def through fresh short-lived temporaries.
-func insertSpillCode(f *ir.Func, v ir.Reg, noSpill map[ir.Reg]bool) {
+// def through fresh short-lived temporaries, marking each in noSpill
+// (indexed by VirtNum) and returning the grown slice.
+func insertSpillCode(f *ir.Func, v ir.Reg, noSpill []bool) []bool {
 	slot := int64(f.SpillSlots)
 	f.SpillSlots++
 	var buf []ir.Reg
@@ -515,15 +590,15 @@ func insertSpillCode(f *ir.Func, v ir.Reg, noSpill map[ir.Reg]bool) {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
 			usesV := false
-			for _, u := range in.Uses(buf[:0]) {
+			buf = in.Uses(buf[:0])
+			for _, u := range buf {
 				if u == v {
 					usesV = true
 				}
 			}
-			buf = buf[:0]
 			if usesV {
 				t := f.NewVirt()
-				noSpill[t] = true
+				noSpill = markNoSpill(noSpill, t)
 				ld := &ir.Instr{Op: ir.OpSpillLoad, Dst: t, Src1: ir.NoReg, Src2: ir.NoReg,
 					Imm: slot, Flags: ir.FlagSpill}
 				b.InsertBefore(i, ld)
@@ -532,7 +607,7 @@ func insertSpillCode(f *ir.Func, v ir.Reg, noSpill map[ir.Reg]bool) {
 			}
 			if in.Def() == v {
 				t := f.NewVirt()
-				noSpill[t] = true
+				noSpill = markNoSpill(noSpill, t)
 				in.Dst = t
 				st := &ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, Src1: t, Src2: ir.NoReg,
 					Imm: slot, Flags: ir.FlagSpill}
@@ -543,6 +618,18 @@ func insertSpillCode(f *ir.Func, v ir.Reg, noSpill map[ir.Reg]bool) {
 	}
 	// Params cannot be spilled this way (they are precolored temps
 	// moved at entry), and v should no longer appear anywhere.
+	return noSpill
+}
+
+// markNoSpill records spill temporary t in noSpill, growing it as
+// needed.
+func markNoSpill(noSpill []bool, t ir.Reg) []bool {
+	i := t.VirtNum()
+	if i >= len(noSpill) {
+		noSpill = append(noSpill, make([]bool, i+1-len(noSpill))...)
+	}
+	noSpill[i] = true
+	return noSpill
 }
 
 func replaceUses(in *ir.Instr, from, to ir.Reg) {
@@ -559,12 +646,13 @@ func replaceUses(in *ir.Instr, from, to ir.Reg) {
 	}
 }
 
-// rewrite replaces every virtual register with its color.
-func rewrite(f *ir.Func, colors map[ir.Reg]ir.Reg) {
+// rewrite replaces every virtual register with its color (colors is
+// indexed by VirtNum).
+func rewrite(f *ir.Func, colors []ir.Reg) {
 	sub := func(r ir.Reg) ir.Reg {
 		if r.IsVirt() {
-			if c, ok := colors[r]; ok {
-				return c
+			if i := r.VirtNum(); i < len(colors) && colors[i] != ir.NoReg {
+				return colors[i]
 			}
 			// Dead virtual never live anywhere: any caller-saved reg
 			// would do; keep it deterministic.
@@ -599,19 +687,18 @@ func rewrite(f *ir.Func, colors map[ir.Reg]ir.Reg) {
 // recordUsedCalleeSaved scans the allocated body for callee-saved
 // registers that are written and records them on the function.
 func recordUsedCalleeSaved(f *ir.Func, m *machine.Desc) []ir.Reg {
-	used := make(map[ir.Reg]bool)
+	var used uint64 // physical registers are numbered below 64
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if d := in.Def(); d.IsPhys() && m.IsCalleeSaved(d) {
-				used[d] = true
+				used |= 1 << uint(d)
 			}
 		}
 	}
 	var out []ir.Reg
-	for r := range used {
-		out = append(out, r)
+	for ; used != 0; used &= used - 1 {
+		out = append(out, ir.Phys(bits.TrailingZeros64(used)))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	f.UsedCalleeSaved = out
 	return out
 }

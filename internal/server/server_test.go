@@ -517,6 +517,11 @@ func TestGracefulShutdownNoLeak(t *testing.T) {
 	}
 	wg.Wait()
 
+	// Close the client's spare keep-alive connections first: one the
+	// transport dialed but never sent a request on stays StateNew on
+	// the server, and Shutdown counts that as idle only once it is 5 s
+	// old — as long as the deadline below.
+	http.DefaultClient.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
