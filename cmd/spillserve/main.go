@@ -46,6 +46,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "serve: listen address")
 		jobs        = flag.Int("j", 1, "serve: per-request worker pool size")
 		maxBody     = flag.Int64("max-body", 1<<20, "serve: request body limit in bytes (413 beyond)")
+		maxVirts    = flag.Int("max-virts", 1<<13, "serve: per-function virtual register numbering limit (413 beyond)")
 		timeout     = flag.Duration("timeout", 15*time.Second, "serve: per-request time limit")
 		maxSteps    = flag.Int64("max-steps", 1<<26, "serve: VM step budget per execution")
 		progEntries = flag.Int("program-entries", 4096, "serve: program cache entry budget")
@@ -73,6 +74,7 @@ func main() {
 		MaxBodyBytes:         *maxBody,
 		RequestTimeout:       *timeout,
 		MaxVMSteps:           *maxSteps,
+		MaxFuncVirts:         *maxVirts,
 		Parallelism:          *jobs,
 		ProgramCacheEntries:  *progEntries,
 		ProgramCacheBytes:    *progMB << 20,

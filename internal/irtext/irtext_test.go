@@ -161,6 +161,7 @@ func TestParseErrors(t *testing.T) {
 	}{
 		{"bad op", "func f() {\nentry:\n\tfoo v1\n}"},
 		{"bad reg", "func f() {\nentry:\n\tx9 = const 1\n}"},
+		{"virtual reg past int32", "func f() {\nentry:\n\tv2147483584 = const 1\n\tret\n}"},
 		{"unknown target", "func f() {\nentry:\n\tjmp nowhere\n}"},
 		{"label outside func", "entry:\n"},
 		{"instr outside block", "func f() {\n\tret\n}"},

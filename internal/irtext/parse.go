@@ -2,6 +2,7 @@ package irtext
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -180,6 +181,9 @@ func (p *parser) reg(s string) (ir.Reg, error) {
 		}
 		return ir.Phys(n), nil
 	case 'v':
+		if n > math.MaxInt32-int(ir.VirtBase) {
+			return ir.NoReg, p.errf("virtual register %q out of range", s)
+		}
 		if n+1 > p.virtMax {
 			p.virtMax = n + 1
 		}

@@ -39,11 +39,21 @@
 // breaks ties toward the lowest register, including the neighbor
 // spilled when a precolored node's register is taken, so an allocation
 // is fully determined by its input.
+//
+// The matrix is sized by the register numbering, so a function that
+// names its virtual registers sparsely (v0, v1000000) is first
+// renumbered densely in ascending order; the order, and so every
+// tie-break, is kept, and Result reports the function's own names.
+// The matrix is still quadratic in the number of registers actually
+// used: a round whose graph would exceed MaxNodes nodes fails with
+// ErrTooLarge instead of allocating it.
 package regalloc
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/dataflow"
 	"repro/internal/ir"
@@ -105,6 +115,15 @@ func (p pricer) of(g *graph, i int) int64 {
 // reduces live range lengths so this is never reached in practice.
 const maxRounds = 32
 
+// MaxNodes bounds the interference graph of one allocation round. The
+// adjacency matrix takes MaxNodes²/8 bytes (32 MiB) at the limit, about
+// 30 times the largest function irgen or the SPEC stand-ins produce.
+const MaxNodes = 1 << 14
+
+// ErrTooLarge reports a function whose interference graph would exceed
+// MaxNodes nodes.
+var ErrTooLarge = errors.New("regalloc: interference graph too large")
+
 // AllocateProgram allocates every function in the program, serially.
 func AllocateProgram(p *ir.Program, m *machine.Desc) (map[string]*Result, error) {
 	return AllocateProgramParallel(p, m, 1)
@@ -153,6 +172,7 @@ func AllocateOpts(f *ir.Func, m *machine.Desc, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("regalloc: %s has %d params, machine passes at most %d",
 			f.Name, len(f.Params), len(m.ArgRegs))
 	}
+	names := compactVirts(f)
 	lowerParams(f, m)
 	rets := lowerReturns(f)
 	// precolor is indexed by VirtNum; the spill temps created later
@@ -176,6 +196,10 @@ func AllocateOpts(f *ir.Func, m *machine.Desc, opts Options) (*Result, error) {
 		if round >= maxRounds {
 			return nil, fmt.Errorf("regalloc: %s did not converge after %d rounds", f.Name, maxRounds)
 		}
+		if f.NumVirt > MaxNodes {
+			return nil, fmt.Errorf("%w: %s has %d virtual registers, limit %d",
+				ErrTooLarge, f.Name, f.NumVirt, MaxNodes)
+		}
 		res.Iterations++
 		g := buildGraph(f, precolor)
 		colors, spills := color(g, m, noSpill, pr)
@@ -187,10 +211,92 @@ func AllocateOpts(f *ir.Func, m *machine.Desc, opts Options) (*Result, error) {
 		}
 		for _, v := range spills {
 			i := v.VirtNum()
-			res.Spilled = append(res.Spilled, v)
-			res.SpillWebs = append(res.SpillWebs, SpillWeb{Reg: v, DefWeight: g.defCost[i], UseWeight: g.useCost[i]})
+			res.Spilled = append(res.Spilled, names.orig(v))
+			res.SpillWebs = append(res.SpillWebs, SpillWeb{Reg: names.orig(v), DefWeight: g.defCost[i], UseWeight: g.useCost[i]})
 			noSpill = insertSpillCode(f, v, noSpill)
 		}
+	}
+}
+
+// virtNames maps the allocator's virtual register numbers back to the
+// function's own. old[i] is the original number of compact register i;
+// registers created after compaction (lowering and spill temporaries)
+// follow the original numbering, exactly as NewVirt would have
+// numbered them without compaction.
+type virtNames struct {
+	old     []int // nil when the numbering was left as is
+	numVirt int   // f.NumVirt before compaction
+}
+
+func (n virtNames) orig(r ir.Reg) ir.Reg {
+	if n.old == nil {
+		return r
+	}
+	i := r.VirtNum()
+	if i < len(n.old) {
+		return ir.Virt(n.old[i])
+	}
+	return ir.Virt(i - len(n.old) + n.numVirt)
+}
+
+// compactVirts renumbers f's virtual registers 0..k-1 in ascending
+// order of their original numbers when the numbering is sparse, so the
+// graph's slices and matrix grow with the registers f uses rather than
+// with the highest name it uses. A function with no more names than
+// twice its instruction count (all generated code) is left as it is:
+// its matrix is already bounded by its size.
+func compactVirts(f *ir.Func) virtNames {
+	instrs := 0
+	for _, b := range f.Blocks {
+		instrs += len(b.Instrs)
+	}
+	if f.NumVirt <= 2*instrs+len(f.Params)+64 {
+		return virtNames{}
+	}
+	var old []int
+	mapRegs(f, func(r ir.Reg) ir.Reg {
+		if r.IsVirt() {
+			old = append(old, r.VirtNum())
+		}
+		return r
+	})
+	slices.Sort(old)
+	old = slices.Compact(old)
+	mapRegs(f, func(r ir.Reg) ir.Reg {
+		if r.IsVirt() {
+			i, _ := slices.BinarySearch(old, r.VirtNum())
+			return ir.Virt(i)
+		}
+		return r
+	})
+	names := virtNames{old: old, numVirt: f.NumVirt}
+	f.NumVirt = len(old)
+	return names
+}
+
+// mapRegs replaces every register operand and parameter r of f with
+// fn(r).
+func mapRegs(f *ir.Func, fn func(ir.Reg) ir.Reg) {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Dst.IsValid() {
+				in.Dst = fn(in.Dst)
+			}
+			if in.Src1.IsValid() {
+				in.Src1 = fn(in.Src1)
+			}
+			if in.Src2.IsValid() {
+				in.Src2 = fn(in.Src2)
+			}
+			for i, a := range in.Args {
+				if a.IsValid() {
+					in.Args[i] = fn(a)
+				}
+			}
+		}
+	}
+	for i, p := range f.Params {
+		f.Params[i] = fn(p)
 	}
 }
 
@@ -649,7 +755,7 @@ func replaceUses(in *ir.Instr, from, to ir.Reg) {
 // rewrite replaces every virtual register with its color (colors is
 // indexed by VirtNum).
 func rewrite(f *ir.Func, colors []ir.Reg) {
-	sub := func(r ir.Reg) ir.Reg {
+	mapRegs(f, func(r ir.Reg) ir.Reg {
 		if r.IsVirt() {
 			if i := r.VirtNum(); i < len(colors) && colors[i] != ir.NoReg {
 				return colors[i]
@@ -659,28 +765,7 @@ func rewrite(f *ir.Func, colors []ir.Reg) {
 			return ir.Phys(0)
 		}
 		return r
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dst.IsValid() {
-				in.Dst = sub(in.Dst)
-			}
-			if in.Src1.IsValid() {
-				in.Src1 = sub(in.Src1)
-			}
-			if in.Src2.IsValid() {
-				in.Src2 = sub(in.Src2)
-			}
-			for i, a := range in.Args {
-				if a.IsValid() {
-					in.Args[i] = sub(a)
-				}
-			}
-		}
-	}
-	for i, p := range f.Params {
-		f.Params[i] = sub(p)
-	}
+	})
 	f.NumVirt = 0
 }
 

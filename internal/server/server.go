@@ -27,6 +27,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
+	"repro/internal/regalloc"
 	"repro/internal/vm"
 )
 
@@ -39,6 +40,12 @@ type Config struct {
 	// RequestTimeout bounds one /v1/place request end to end (503 on
 	// expiry). Default 15s; negative disables.
 	RequestTimeout time.Duration
+	// MaxFuncVirts caps each function's virtual register numbering: a
+	// function naming vN with N >= MaxFuncVirts gets 413 before it is
+	// profiled or allocated, since the VM frame and the allocator's
+	// interference graph both grow with it. Default 8192; negative
+	// disables (regalloc.MaxNodes still bounds the allocator).
+	MaxFuncVirts int
 	// MaxVMSteps bounds every VM execution (profiling and runs) so a
 	// runaway submission costs bounded CPU. Default 1<<26; negative
 	// uses the VM's own (much larger) default.
@@ -68,6 +75,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 15 * time.Second
+	}
+	if c.MaxFuncVirts == 0 {
+		c.MaxFuncVirts = 1 << 13
 	}
 	if c.MaxVMSteps == 0 {
 		c.MaxVMSteps = 1 << 26
@@ -343,6 +353,14 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	if err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
+	if limit := s.cfg.MaxFuncVirts; limit > 0 {
+		for _, f := range prog.IRFuncs() {
+			if f.NumVirt > limit {
+				return fail(http.StatusRequestEntityTooLarge, fmt.Errorf(
+					"function %s names virtual register v%d, limit v%d", f.Name, f.NumVirt-1, limit-1))
+			}
+		}
+	}
 	if err := prog.UseMachine(req.Machine); err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
@@ -419,6 +437,9 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 		s.metrics.placed(len(funcs), s.ac.Len())
 	}()
 	if err := prog.Allocate(); err != nil {
+		if errors.Is(err, regalloc.ErrTooLarge) {
+			return fail(http.StatusRequestEntityTooLarge, err)
+		}
 		return fail(http.StatusBadRequest, err)
 	}
 	stratName := req.Strategy

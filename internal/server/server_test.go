@@ -18,6 +18,7 @@ import (
 	"repro"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
+	"repro/internal/regalloc"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -216,6 +217,38 @@ func TestBadRequests(t *testing.T) {
 	resp3, body3 := post(t, ts2, PlaceRequest{IR: testProgram(5), Args: []int64{5}})
 	if resp3.StatusCode != http.StatusBadRequest || !strings.Contains(string(body3), "step") {
 		t.Errorf("step-limited program: status %d body %s, want 400 with step-limit error", resp3.StatusCode, body3)
+	}
+}
+
+// TestVirtualRegisterLimits: a function naming a virtual register past
+// MaxFuncVirts is refused with 413 before it is profiled or allocated;
+// with the cap off, a sparse name is still cheap (the allocator
+// renumbers it), and a function too large for the allocator's graph
+// gets 413 from regalloc.ErrTooLarge instead of a matrix.
+func TestVirtualRegisterLimits(t *testing.T) {
+	sparse := "main main\n\nfunc main(v0) {\nentry:\n\tv1000000 = const 7\n\tret v1000000\n}\n"
+
+	_, ts := newTestServer(t, Config{})
+	resp, body := post(t, ts, PlaceRequest{IR: sparse, Args: []int64{1}})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "v1000000") {
+		t.Errorf("v1000000 under the default cap: status %d body %s, want 413 naming the register", resp.StatusCode, body)
+	}
+
+	_, tsOff := newTestServer(t, Config{MaxFuncVirts: -1})
+	resp, body = post(t, tsOff, PlaceRequest{IR: sparse, Args: []int64{1}, Run: true})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"value":7`) {
+		t.Errorf("v1000000 with the cap off: status %d body %s, want 200 returning 7", resp.StatusCode, body)
+	}
+
+	var wide strings.Builder
+	wide.WriteString("main main\n\nfunc main(v0) {\nentry:\n")
+	for i := 1; i <= regalloc.MaxNodes; i++ {
+		fmt.Fprintf(&wide, "\tv%d = const %d\n", i, i)
+	}
+	fmt.Fprintf(&wide, "\tret v%d\n}\n", regalloc.MaxNodes)
+	resp, body = post(t, tsOff, PlaceRequest{IR: wide.String(), Args: []int64{1}})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "too large") {
+		t.Errorf("function past regalloc.MaxNodes: status %d body %s, want 413 from the allocator", resp.StatusCode, body)
 	}
 }
 
