@@ -13,8 +13,9 @@
 //	benchdiff -machines ... -write-fresh DIR  # dump the fresh records
 //	                                          # (CI failure artifacts)
 //
-// The VM gate compares the bytecode-over-tree speedup ratio (host
-// speed cancels) and the deterministic per-run instruction counts; the
+// The VM gate compares the regcode-over-tree speedup ratio (host
+// speed cancels) against the committed ratio and its absolute 4.5x
+// floor, plus the deterministic per-run instruction counts; the
 // machines gate compares the deterministic weighted overheads of every
 // (machine preset, strategy) pair and the analysis build counters that
 // prove the sweep shares analyses across presets; the analysis gate
@@ -84,9 +85,8 @@ func main() {
 		if *inject > 0 {
 			bench.InjectVMRegression(fresh, *inject)
 		}
-		fmt.Printf("vm: committed speedup %.2fx, fresh %.2fx\n", committed.Speedup, fresh.Speedup)
-		fmt.Printf("vm: committed regcode speedup %.2fx, fresh %.2fx (floor %.1fx)\n",
-			committed.RegcodeSpeedup, fresh.RegcodeSpeedup, bench.RegcodeSpeedupFloor)
+		fmt.Printf("vm: committed regcode-over-tree speedup %.2fx, fresh %.2fx (floor %.1fx)\n",
+			committed.Speedup, fresh.Speedup, bench.VMSpeedupFloor)
 		dumpFresh(*writeFresh, "BENCH_vm.fresh.json", fresh)
 		findings = append(findings, bench.CompareVM(&committed, fresh, *threshold)...)
 	}

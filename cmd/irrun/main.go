@@ -8,8 +8,8 @@
 //
 // Usage:
 //
-//	irrun [-arg N] [-profile] [-check] [-engine bytecode|regcode|tree] prog.ir
-//	irrun -tier [-quantum N] [-machine preset] [-alloc-machine] [-arg N] prog.ir
+//	irrun [-arg N] [-profile] [-check] [-engine regcode|tree] prog.ir
+//	irrun -tier [-quantum N] [-machine preset] [-alloc-machine] [-engine regcode|tree] [-arg N] prog.ir
 package main
 
 import (
@@ -29,7 +29,7 @@ func main() {
 	arg := flag.Int64("arg", 0, "argument passed to main")
 	prof := flag.Bool("profile", false, "print per-edge execution counts")
 	check := flag.Bool("check", false, "enforce the callee-saved register convention")
-	engine := flag.String("engine", "bytecode", "execution engine: bytecode, regcode, or tree (the legacy reference)")
+	engine := flag.String("engine", "regcode", "execution engine: regcode or tree (the reference interpreter)")
 	tierF := flag.Bool("tier", false, "run the tiered pipeline: estimate, allocate, profile tier 0 for -quantum steps, re-place from the measured weights, finish on tier 1")
 	quantum := flag.Int64("quantum", 0, "with -tier: tier-0 step quantum (0 = the pipeline default)")
 	mach := flag.String("machine", "", "with -tier: machine cost preset the pipeline optimizes (default: the paper's unit-cost machine)")
@@ -106,8 +106,7 @@ func main() {
 
 // runTiered drives the spillopt facade's tiered pipeline on the raw
 // program and reports the merged statistics plus the tier boundary
-// details. The engine flag is honored only when given explicitly, so
-// the pipeline's native regcode tier-1 engine stays the default.
+// details.
 func runTiered(src string, arg, quantum int64, engine, mach string, allocMachine bool) {
 	p, err := spillopt.ParseProgram(src)
 	if err != nil {
@@ -123,16 +122,8 @@ func runTiered(src string, arg, quantum int64, engine, mach string, allocMachine
 			fatal(err)
 		}
 	}
-	engineSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engineSet = true
-		}
-	})
-	if engineSet {
-		if err := p.UseEngine(engine); err != nil {
-			fatal(err)
-		}
+	if err := p.UseEngine(engine); err != nil {
+		fatal(err)
 	}
 	if err := p.UseTiering(quantum); err != nil {
 		fatal(err)

@@ -10,7 +10,6 @@
 //	spillbench -table 1           # just Table 1 ratios
 //	spillbench -table 2           # just Table 2 placement times
 //	spillbench -bench gcc         # a single benchmark, detailed
-//	spillbench -engine tree       # measure on the legacy VM engine
 //	spillbench -json BENCH_vm.json  # benchmark the engines themselves
 //	                                # and record the perf trajectory
 //	spillbench -machines all        # sweep every machine cost preset:
@@ -51,7 +50,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/machine"
-	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -63,7 +61,6 @@ func main() {
 	jobs := flag.Int("j", 0, "worker pool size for sharded evaluation (0 = GOMAXPROCS, 1 = serial)")
 	irgenN := flag.Int("irgen", 0, "append this many random irgen scenario families to the suite")
 	irgenSeed := flag.Uint64("irgen-seed", 1, "first seed of the appended irgen families")
-	engine := flag.String("engine", "bytecode", "VM engine for the measurement runs: bytecode, regcode, or tree")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measurement run to this file")
 	unshared := flag.Bool("unshared", false, "disable the shared per-function analysis cache (A/B reference for Table 2 placement times)")
 	jsonOut := flag.String("json", "", "instead of the tables: benchmark both VM engines on the placed suite and write the JSON record here (e.g. BENCH_vm.json); with -machines, write the sweep record instead (e.g. BENCH_machines.json)")
@@ -76,12 +73,6 @@ func main() {
 	crossover := flag.Bool("crossover", false, "run the crossover suite (irgen.Crossover seeds) per preset under both allocation modes and report winner flips; with -json, write the record (e.g. BENCH_crossover.json)")
 	allocMachine := flag.Bool("alloc-machine", false, "price the allocator's spill choices with the machine's cost surface instead of uniform weights (single-preset sweeps and the default tables)")
 	flag.Parse()
-
-	eng, err := vm.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-		os.Exit(2)
-	}
 
 	// The profile brackets the measurement work itself: it starts after
 	// flag validation and stops when the chosen mode finishes. Error
@@ -156,7 +147,7 @@ func main() {
 			n = 10
 		}
 		rec, err := bench.RunCrossover(bench.CrossoverSuite(*irgenSeed, n), machine.Presets(),
-			bench.Options{Parallelism: *jobs, Engine: eng})
+			bench.Options{Parallelism: *jobs})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
 			os.Exit(1)
@@ -258,7 +249,7 @@ func main() {
 			os.Exit(2)
 		}
 		entries := suite()
-		sw, err := bench.RunSweep(entries, descs, bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, MachineAlloc: *allocMachine})
+		sw, err := bench.RunSweep(entries, descs, bench.Options{Align: *align, Parallelism: *jobs, MachineAlloc: *allocMachine})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
 			os.Exit(1)
@@ -300,12 +291,11 @@ func main() {
 			fmt.Printf("%-10s %8.2fms/run %14.0f instrs/s\n",
 				e.Engine, e.NSPerRun/1e6, e.InstrsPerSec)
 		}
-		fmt.Printf("speedup: %.2fx over tree, regcode %.2fx over bytecode (recorded in %s)\n",
-			rec.Speedup, rec.RegcodeSpeedup, *jsonOut)
+		fmt.Printf("speedup: regcode %.2fx over tree (recorded in %s)\n", rec.Speedup, *jsonOut)
 		return
 	}
 
-	results, err := bench.RunEntries(suite(), bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, Unshared: *unshared, MachineAlloc: *allocMachine})
+	results, err := bench.RunEntries(suite(), bench.Options{Align: *align, Parallelism: *jobs, Unshared: *unshared, MachineAlloc: *allocMachine})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
 		os.Exit(1)

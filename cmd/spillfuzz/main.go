@@ -13,8 +13,9 @@
 //	spillfuzz -out dir                # write minimized reproducers here
 //	spillfuzz -emit 6 -out testdata   # emit minimized oracle-clean
 //	                                  # sample programs instead
-//	spillfuzz -parity -engine regcode # engine-vs-tree parity sweep
-//	                                  # instead of the strategy oracle
+//	spillfuzz -parity                 # regcode-vs-tree engine parity
+//	                                  # sweep instead of the strategy
+//	                                  # oracle
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 	"repro/internal/irtext"
 	"repro/internal/par"
 	"repro/internal/strategy"
-	"repro/internal/vm"
 )
 
 func main() {
@@ -44,15 +44,8 @@ func main() {
 	keep := flag.Int("keep", 5, "minimize and write at most this many failures")
 	emit := flag.Int("emit", 0, "instead of hunting bugs: emit this many minimized oracle-clean sample programs to -out")
 	verbose := flag.Bool("v", false, "log every failing seed as it is found")
-	engine := flag.String("engine", "bytecode", "VM engine for the oracle's runs: bytecode, regcode, or tree")
-	parity := flag.Bool("parity", false, "instead of the strategy oracle: cross-check the -engine VM engine against the tree interpreter on every seed (raw, step-limited, and placed programs)")
+	parity := flag.Bool("parity", false, "instead of the strategy oracle: cross-check the regcode VM engine against the tree interpreter on every seed (raw, step-limited, and placed programs)")
 	flag.Parse()
-
-	eng, err := vm.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spillfuzz: %v\n", err)
-		os.Exit(2)
-	}
 
 	cfg := irgen.Default()
 	if *small {
@@ -60,7 +53,7 @@ func main() {
 	}
 
 	if *parity {
-		paritySweep(*n, *jobs, *base, cfg, eng, *verbose)
+		paritySweep(*n, *jobs, *base, cfg, *verbose)
 		return
 	}
 
@@ -95,7 +88,7 @@ func main() {
 		prog := irgen.Generate(seed, cfg)
 		// Seeds already fan out across the pool; a nested GOMAXPROCS
 		// allocation pool per check would only oversubscribe.
-		r := irgen.Check(prog, irgen.Options{Args: []int64{int64(seed % 17)}, Parallelism: 1, Engine: eng, Cache: cache})
+		r := irgen.Check(prog, irgen.Options{Args: []int64{int64(seed % 17)}, Parallelism: 1, Cache: cache})
 		mu.Lock()
 		defer mu.Unlock()
 		checked++
@@ -140,12 +133,12 @@ func main() {
 	}
 }
 
-// paritySweep cross-checks an engine against the tree interpreter on
-// every seed: the raw program under several step budgets (small ones
-// force mid-quantum halts) plus the hierarchically placed program
-// under convention checking. Any observable divergence is a bug in
+// paritySweep cross-checks the regcode engine against the tree
+// interpreter on every seed: the raw program under several step
+// budgets (small ones force mid-quantum halts) plus the
+// hierarchically placed program under convention checking. Any observable divergence is a bug in
 // one of the engines; the process exits 1 on the first-failing run.
-func paritySweep(n, jobs int, base uint64, cfg irgen.Config, eng vm.Engine, verbose bool) {
+func paritySweep(n, jobs int, base uint64, cfg irgen.Config, verbose bool) {
 	start := time.Now()
 	budgets := []int64{1, 13, 257, 1 << 22}
 	type failure struct {
@@ -158,7 +151,7 @@ func paritySweep(n, jobs int, base uint64, cfg irgen.Config, eng vm.Engine, verb
 	_ = par.Do(n, jobs, func(i int) error {
 		seed := base + uint64(i)
 		prog := irgen.Generate(seed, cfg)
-		ms := irgen.EngineParitySweep(prog, eng, []int64{int64(seed % 17)}, budgets)
+		ms := irgen.EngineParitySweep(prog, []int64{int64(seed % 17)}, budgets)
 		mu.Lock()
 		defer mu.Unlock()
 		checked++
@@ -171,8 +164,8 @@ func paritySweep(n, jobs int, base uint64, cfg irgen.Config, eng vm.Engine, verb
 		return nil
 	})
 	sort.Slice(failures, func(i, j int) bool { return failures[i].seed < failures[j].seed })
-	fmt.Printf("spillfuzz: %v-vs-tree parity on %d seeds in %v, %d failures\n",
-		eng, checked, time.Since(start).Round(time.Millisecond), len(failures))
+	fmt.Printf("spillfuzz: regcode-vs-tree parity on %d seeds in %v, %d failures\n",
+		checked, time.Since(start).Round(time.Millisecond), len(failures))
 	for _, f := range failures {
 		fmt.Printf("seed %d:\n", f.seed)
 		for _, m := range f.mismatches {

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/irgen"
 	"repro/internal/irtext"
-	"repro/internal/vm"
 )
 
 // FuzzParse: irtext.Parse must never panic, and any program it
@@ -90,11 +89,11 @@ func FuzzEngineParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, arg, budget int64) {
 		budget = budget&(1<<22-1) + 1
 		prog := irgen.Generate(seed, irgen.Small())
-		for _, m := range irgen.EngineParitySweep(prog, vm.EngineRegcode, []int64{arg & 1023}, []int64{budget}) {
+		for _, m := range irgen.EngineParitySweep(prog, []int64{arg & 1023}, []int64{budget}) {
 			t.Errorf("seed %d arg %d: %s", seed, arg, m)
 		}
 		quantum := budget/2 + 1
-		for _, m := range irgen.TierParitySweep(prog, vm.EngineRegcode, []int64{arg & 1023}, quantum, budget) {
+		for _, m := range irgen.TierParitySweep(prog, []int64{arg & 1023}, quantum, budget) {
 			t.Errorf("seed %d arg %d: %s", seed, arg, m)
 		}
 		if t.Failed() {

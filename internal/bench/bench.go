@@ -137,11 +137,6 @@ type Options struct {
 	// placement of the same benchmark, but concurrent benchmarks can
 	// still contend — for paper-grade Table 2 timings use 1.
 	Parallelism int
-	// Engine selects the VM engine for the measurement runs (default
-	// the bytecode engine; vm.EngineTree is the legacy differential
-	// reference). Measured counts are engine-independent — the parity
-	// tests prove it — only wall-clock time changes.
-	Engine vm.Engine
 	// Unshared disables the shared analysis cache: every strategy
 	// rebuilds liveness, dominators, loops, PST, and the shrink-wrap
 	// seed from scratch, reproducing the pre-sharing pipeline. Sets and
@@ -213,7 +208,7 @@ func RunEntry(e Entry, opts Options) (*Result, error) {
 	mach := machine.PARISC()
 
 	// Profile by execution, then check flow conservation.
-	if _, err := profile.CollectWithConfig(prog, vm.Config{Engine: opts.Engine}, 0); err != nil {
+	if _, err := profile.Collect(prog, 0); err != nil {
 		return nil, fmt.Errorf("bench %s: profile: %w", e.Name, err)
 	}
 	if err := profile.Consistent(prog); err != nil {
@@ -292,7 +287,7 @@ func RunEntry(e Entry, opts Options) (*Result, error) {
 	var vals [numStrategies]int64
 	err = par.Do(len(Strategies), opts.Parallelism, func(i int) error {
 		s := Strategies[i]
-		v := vm.New(clones[s], vm.Config{Machine: mach, Engine: opts.Engine})
+		v := vm.New(clones[s], vm.Config{Machine: mach})
 		val, err := v.Run(0)
 		if err != nil {
 			return fmt.Errorf("bench %s: %s run: %w", e.Name, s, err)

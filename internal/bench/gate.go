@@ -11,58 +11,48 @@ import (
 	"fmt"
 )
 
-// RegcodeSpeedupFloor is the absolute regcode-over-bytecode throughput
-// ratio the gate enforces regardless of the committed record: the
-// regcode engine exists to be at least this much faster.
-const RegcodeSpeedupFloor = 1.5
+// VMSpeedupFloor is the absolute regcode-over-tree throughput ratio
+// the gate enforces regardless of the committed record: the compiled
+// engine exists to be at least this much faster than the reference.
+const VMSpeedupFloor = 4.5
 
 // CompareVM diffs a fresh engine benchmark against the committed
 // record. Absolute throughput depends on the host, so the gate
 // compares host-independent quantities:
 //
-//   - the bytecode-over-tree speedup ratio must not regress by more
-//     than thresholdPct percent (both engines run on the same host in
-//     the same process, so the ratio cancels host speed);
-//   - the regcode-over-bytecode speedup must not regress below the
-//     committed ratio by more than thresholdPct percent, and must stay
-//     above the absolute RegcodeSpeedupFloor the engine was built to
-//     clear;
+//   - the regcode-over-tree speedup ratio must not regress by more
+//     than thresholdPct percent below the committed ratio (both
+//     engines run on the same host in the same process, so the ratio
+//     cancels host speed), and must stay above the absolute
+//     VMSpeedupFloor;
 //   - per-run dynamic instruction counts must match the committed
 //     record exactly — they are deterministic, and a drift means the
-//     record is stale (or an engine miscounts) — and must agree across
-//     the fresh run's engines, which execute the same programs.
+//     record is stale (or an engine miscounts) — and every engine must
+//     agree with the tree reference, which runs the same programs.
 func CompareVM(committed, fresh *VMBench, thresholdPct float64) []string {
 	var findings []string
 	if committed.Speedup > 0 {
 		floor := committed.Speedup * (1 - thresholdPct/100)
 		if fresh.Speedup < floor {
 			findings = append(findings, fmt.Sprintf(
-				"vm: bytecode speedup %.2fx regressed more than %.0f%% below committed %.2fx (floor %.2fx)",
+				"vm: regcode speedup %.2fx regressed more than %.0f%% below committed %.2fx (floor %.2fx)",
 				fresh.Speedup, thresholdPct, committed.Speedup, floor))
 		}
 	}
-	if committed.RegcodeSpeedup > 0 {
-		floor := committed.RegcodeSpeedup * (1 - thresholdPct/100)
-		if fresh.RegcodeSpeedup < floor {
-			findings = append(findings, fmt.Sprintf(
-				"vm: regcode speedup %.2fx regressed more than %.0f%% below committed %.2fx (floor %.2fx)",
-				fresh.RegcodeSpeedup, thresholdPct, committed.RegcodeSpeedup, floor))
-		}
-	}
-	if fresh.RegcodeSpeedup > 0 && fresh.RegcodeSpeedup < RegcodeSpeedupFloor {
+	if fresh.Speedup < VMSpeedupFloor {
 		findings = append(findings, fmt.Sprintf(
-			"vm: regcode only %.2fx faster than bytecode, below the %.1fx floor",
-			fresh.RegcodeSpeedup, RegcodeSpeedupFloor))
+			"vm: regcode only %.2fx faster than tree, below the %.1fx floor",
+			fresh.Speedup, VMSpeedupFloor))
 	}
-	if be := findEngine(fresh, "bytecode"); be != nil && be.Runs > 0 {
-		base := be.Instrs / int64(be.Runs)
+	if te := findEngine(fresh, "tree"); te != nil && te.Runs > 0 {
+		base := te.Instrs / int64(te.Runs)
 		for _, fe := range fresh.Engines {
-			if fe.Engine == "bytecode" || fe.Runs == 0 {
+			if fe.Engine == "tree" || fe.Runs == 0 {
 				continue
 			}
 			if fi := fe.Instrs / int64(fe.Runs); fi != base {
 				findings = append(findings, fmt.Sprintf(
-					"vm: %s executes %d instrs/run but bytecode executes %d on the same programs — an engine miscounts",
+					"vm: %s executes %d instrs/run but tree executes %d on the same programs — an engine miscounts",
 					fe.Engine, fi, base))
 			}
 		}
@@ -354,7 +344,6 @@ func InjectAnalysisRegression(b *AnalysisBench, pct float64) {
 // a regression instead of rubber-stamping everything.
 func InjectVMRegression(b *VMBench, pct float64) {
 	b.Speedup /= 1 + pct/100
-	b.RegcodeSpeedup /= 1 + pct/100
 	for i := range b.Engines {
 		b.Engines[i].InstrsPerSec /= 1 + pct/100
 	}

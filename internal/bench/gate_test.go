@@ -94,11 +94,14 @@ func TestGateCatchesAnalysisRebuilds(t *testing.T) {
 	}
 }
 
+// vmRecord is a record as BenchVM produces them: regcode and tree run
+// the same suite, so per-run instruction counts agree across engines
+// in a healthy record.
 func vmRecord(speedup float64, instrsPerRun int64) *VMBench {
 	return &VMBench{
 		Speedup: speedup,
 		Engines: []EngineBench{
-			{Engine: "bytecode", Runs: 3, Instrs: 3 * instrsPerRun},
+			{Engine: "regcode", Runs: 3, Instrs: 3 * instrsPerRun},
 			{Engine: "tree", Runs: 3, Instrs: 3 * instrsPerRun},
 		},
 	}
@@ -108,97 +111,98 @@ func vmRecord(speedup float64, instrsPerRun int64) *VMBench {
 // regression past the threshold and stays quiet within it. Ratios are
 // host-independent, so the gate works on any CI runner.
 func TestGateVMSpeedupRatio(t *testing.T) {
-	committed := vmRecord(3.0, 1000)
-	if findings := CompareVM(committed, vmRecord(2.9, 1000), 15); len(findings) != 0 {
+	committed := vmRecord(6.0, 1000)
+	if findings := CompareVM(committed, committed, 15); len(findings) != 0 {
+		t.Errorf("self-comparison produced findings: %v", findings)
+	}
+	if findings := CompareVM(committed, vmRecord(5.8, 1000), 15); len(findings) != 0 {
 		t.Errorf("3.3%% ratio drop tripped a 15%% gate: %v", findings)
 	}
-	if findings := CompareVM(committed, vmRecord(2.0, 1000), 15); len(findings) == 0 {
-		t.Error("33% ratio drop passed a 15% gate")
+	// 4.8x is a 20% drop but still above the absolute floor, so the
+	// relative check alone must catch it.
+	findings := CompareVM(committed, vmRecord(4.8, 1000), 15)
+	if len(findings) == 0 {
+		t.Error("20% ratio drop passed a 15% gate")
 	}
-	fresh := vmRecord(3.0, 1000)
+	for _, f := range findings {
+		if !strings.Contains(f, "regressed more than 15%") {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+	fresh := vmRecord(6.0, 1000)
 	InjectVMRegression(fresh, 20)
 	if findings := CompareVM(committed, fresh, 15); len(findings) == 0 {
 		t.Error("injected 20% VM regression passed a 15% gate")
 	}
 }
 
-// vmRecord3 is a three-engine record as BenchVM now produces them:
-// bytecode, regcode, and tree all run the same suite, so per-run
-// instruction counts agree across engines in a healthy record.
-func vmRecord3(speedup, regSpeedup float64, instrsPerRun int64) *VMBench {
-	return &VMBench{
-		Speedup:        speedup,
-		RegcodeSpeedup: regSpeedup,
-		Engines: []EngineBench{
-			{Engine: "bytecode", Runs: 3, Instrs: 3 * instrsPerRun},
-			{Engine: "regcode", Runs: 3, Instrs: 3 * instrsPerRun},
-			{Engine: "tree", Runs: 3, Instrs: 3 * instrsPerRun},
-		},
-	}
-}
-
-// TestGateVMRegcodeRatio: the regcode-over-bytecode ratio is gated the
-// same way as the bytecode-over-tree ratio — quiet within the
-// threshold, a finding past it, and the injected self-test regression
-// must degrade it enough to trip.
+// TestGateVMRegcodeRatio: the gated ratio is the regcode engine's
+// instruction throughput over the tree reference's, measured on the
+// same placed programs, with every (benchmark, engine) row executing
+// the same instruction count.
 func TestGateVMRegcodeRatio(t *testing.T) {
-	committed := vmRecord3(3.0, 2.0, 1000)
-	if findings := CompareVM(committed, committed, 15); len(findings) != 0 {
-		t.Errorf("self-comparison produced findings: %v", findings)
+	rec, err := BenchVM(workloadSuite(t)[:1], 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if findings := CompareVM(committed, vmRecord3(3.0, 1.9, 1000), 15); len(findings) != 0 {
-		t.Errorf("5%% regcode ratio drop tripped a 15%% gate: %v", findings)
+	if len(rec.Engines) != 2 || rec.Engines[0].Engine != "regcode" || rec.Engines[1].Engine != "tree" {
+		t.Fatalf("engines = %+v, want regcode then tree", rec.Engines)
 	}
-	findings := CompareVM(committed, vmRecord3(3.0, 1.6, 1000), 15)
-	if len(findings) == 0 {
-		t.Error("20% regcode ratio drop passed a 15% gate")
+	if want := rec.Engines[0].InstrsPerSec / rec.Engines[1].InstrsPerSec; rec.Speedup != want {
+		t.Errorf("speedup = %v, want regcode over tree %v", rec.Speedup, want)
 	}
-	for _, f := range findings {
-		if !strings.Contains(f, "regcode speedup") {
-			t.Errorf("unexpected finding: %s", f)
+	if len(rec.PerBenchmark) != 2 || rec.PerBenchmark[0].Instrs != rec.PerBenchmark[1].Instrs {
+		t.Errorf("per-benchmark rows disagree: %+v", rec.PerBenchmark)
+	}
+	// Host speed decides the ratio itself; only the floor may fire on
+	// a self-comparison.
+	for _, f := range CompareVM(rec, rec, 15) {
+		if !strings.Contains(f, "floor") {
+			t.Errorf("self-comparison produced finding: %s", f)
 		}
-	}
-	fresh := vmRecord3(3.0, 2.0, 1000)
-	InjectVMRegression(fresh, 20)
-	if findings := CompareVM(committed, fresh, 15); len(findings) == 0 {
-		t.Error("injected 20% VM regression left the regcode ratio untripped")
 	}
 }
 
 // TestGateVMRegcodeFloor: whatever the committed record says, a fresh
-// regcode speedup below the absolute RegcodeSpeedupFloor is a finding
-// — the engine exists to clear that bar.
+// regcode-over-tree speedup below the absolute VMSpeedupFloor is a
+// finding — the engine exists to clear that bar. The CI self-test's
+// -inject 100 halves any plausible ratio (4.93x, the best recorded,
+// becomes about 2.47x), so it trips.
 func TestGateVMRegcodeFloor(t *testing.T) {
-	committed := vmRecord3(3.0, 1.52, 1000)
-	findings := CompareVM(committed, vmRecord3(3.0, 1.4, 1000), 15)
-	found := false
-	for _, f := range findings {
-		if strings.Contains(f, "below the 1.5x floor") {
-			found = true
+	hasFloor := func(findings []string) bool {
+		for _, f := range findings {
+			if strings.Contains(f, "below the 4.5x floor") {
+				return true
+			}
 		}
+		return false
 	}
-	if !found {
-		t.Errorf("regcode at 1.40x passed the %.1fx floor: %v", RegcodeSpeedupFloor, findings)
+	committed := vmRecord(4.6, 1000)
+	if findings := CompareVM(committed, vmRecord(4.6, 1000), 15); len(findings) != 0 {
+		t.Errorf("4.60x above the floor tripped the gate: %v", findings)
 	}
-	// Records from before the regcode engine existed carry no
-	// RegcodeSpeedup at all; the floor must not fire on them.
-	old := vmRecord(3.0, 1000)
-	if findings := CompareVM(old, old, 15); len(findings) != 0 {
-		t.Errorf("two-engine legacy record tripped the gate: %v", findings)
+	// Within the relative threshold, so only the floor can catch it.
+	if findings := CompareVM(committed, vmRecord(4.4, 1000), 15); !hasFloor(findings) {
+		t.Errorf("regcode at 4.40x passed the %.1fx floor: %v", VMSpeedupFloor, findings)
+	}
+	fresh := vmRecord(4.93, 1000)
+	InjectVMRegression(fresh, 100)
+	if findings := CompareVM(vmRecord(4.93, 1000), fresh, 15); !hasFloor(findings) {
+		t.Errorf("injected 100%% regression (%.2fx) passed the floor: %v", fresh.Speedup, findings)
 	}
 }
 
-// TestGateVMCrossEngineInstrs: within one fresh run every engine
-// executes the same programs, so a per-run instruction count that
-// differs from bytecode's means one of the engines miscounts.
+// TestGateVMCrossEngineInstrs: within one fresh run both engines
+// execute the same programs, so a per-run instruction count that
+// differs from the tree reference's means the regcode engine miscounts.
 func TestGateVMCrossEngineInstrs(t *testing.T) {
-	committed := vmRecord3(3.0, 2.0, 1000)
-	fresh := vmRecord3(3.0, 2.0, 1000)
-	fresh.Engines[1].Instrs += 3
+	committed := vmRecord(5.0, 1000)
+	fresh := vmRecord(5.0, 1000)
+	fresh.Engines[0].Instrs += 3
 	findings := CompareVM(committed, fresh, 15)
 	found := false
 	for _, f := range findings {
-		if strings.Contains(f, "an engine miscounts") {
+		if strings.Contains(f, "but tree executes") && strings.Contains(f, "an engine miscounts") {
 			found = true
 		}
 	}
@@ -313,8 +317,8 @@ func TestBenchAnalysisEndToEnd(t *testing.T) {
 // match the committed record exactly; drift means a stale record or a
 // miscounting engine.
 func TestGateVMInstrDrift(t *testing.T) {
-	committed := vmRecord(3.0, 1000)
-	if findings := CompareVM(committed, vmRecord(3.0, 1001), 15); len(findings) == 0 {
+	committed := vmRecord(5.0, 1000)
+	if findings := CompareVM(committed, vmRecord(5.0, 1001), 15); len(findings) == 0 {
 		t.Error("instruction-count drift passed the gate")
 	}
 }

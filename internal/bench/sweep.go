@@ -169,7 +169,7 @@ func RunSweep(entries []Entry, machines []*machine.Desc, opts Options) (*Sweep, 
 // and a measurement run per clone.
 func runSweepEntry(e Entry, machines []*machine.Desc, opts Options) (*SweepBench, analysis.Counts, int, error) {
 	prog := e.Gen()
-	if _, err := profile.CollectWithConfig(prog, vm.Config{Engine: opts.Engine}, 0); err != nil {
+	if _, err := profile.Collect(prog, 0); err != nil {
 		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: profile: %w", e.Name, err)
 	}
 	if err := profile.Consistent(prog); err != nil {
@@ -233,7 +233,7 @@ func runSweepEntry(e Entry, machines []*machine.Desc, opts Options) (*SweepBench
 	vals := make([]int64, len(runs))
 	err := par.Do(len(runs), opts.Parallelism, func(i int) error {
 		r := runs[i]
-		v := vm.New(r.clone, vm.Config{Machine: machines[0], Engine: opts.Engine})
+		v := vm.New(r.clone, vm.Config{Machine: machines[0]})
 		val, err := v.Run(0)
 		if err != nil {
 			return fmt.Errorf("sweep %s: %s@%s run: %w", e.Name, r.s, machines[r.mi].Name, err)

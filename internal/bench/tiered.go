@@ -147,7 +147,7 @@ func BenchTiered(entries []Entry, quantum int64, reps int) (*TieredBench, error)
 				if err := strategy.PlaceProgramFor(st, strategy.HierarchicalJump, d, 0, nil); err != nil {
 					return nil, fmt.Errorf("benchtiered %s/%s: static place: %w", d.Name, e.Name, err)
 				}
-				m := vm.New(st, vm.Config{Machine: d, Engine: vm.EngineRegcode, CollectEdges: true})
+				m := vm.New(st, vm.Config{Machine: d, CollectEdges: true})
 				start := time.Now()
 				if _, err := m.Run(0); err != nil {
 					return nil, fmt.Errorf("benchtiered %s/%s: static run: %w", d.Name, e.Name, err)
@@ -161,7 +161,6 @@ func BenchTiered(entries []Entry, quantum int64, reps int) (*TieredBench, error)
 					Machine:  d,
 					Strategy: strategy.HierarchicalJump,
 					Quantum:  quantum,
-					Engine:   vm.EngineRegcode,
 				}, 0)
 				if err != nil {
 					return nil, fmt.Errorf("benchtiered %s/%s: tiered run: %w", d.Name, e.Name, err)
@@ -170,7 +169,7 @@ func BenchTiered(entries []Entry, quantum int64, reps int) (*TieredBench, error)
 
 				// Price the final placement over a full fresh run, the
 				// same way the static arm is priced.
-				mf := vm.New(res.Final, vm.Config{Machine: d, Engine: vm.EngineRegcode, CollectEdges: true})
+				mf := vm.New(res.Final, vm.Config{Machine: d, CollectEdges: true})
 				if _, err := mf.Run(0); err != nil {
 					return nil, fmt.Errorf("benchtiered %s/%s: final run: %w", d.Name, e.Name, err)
 				}

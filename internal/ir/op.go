@@ -113,7 +113,7 @@ func (op Op) String() string {
 }
 
 // Valid reports whether op is one of the defined opcodes. The VM's
-// bytecode compiler uses it to turn undefined opcode bytes into traps
+// regcode compiler uses it to turn undefined opcode bytes into traps
 // rather than misdecoding them.
 func (op Op) Valid() bool { return op < numOps }
 

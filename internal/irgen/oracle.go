@@ -33,10 +33,6 @@ type Options struct {
 	// the harness can fail. Nil means the paper's models.
 	ExecModel core.CostModel
 	JumpModel core.CostModel
-	// Engine selects the VM engine for the profiling and measurement
-	// runs (default bytecode; the legacy tree interpreter is the
-	// differential reference).
-	Engine vm.Engine
 	// Cache, when non-nil, is the shared analysis layer the check's
 	// five strategies read instead of a private per-check cache. A
 	// sweep driver (cmd/spillfuzz) passes one cache across every seed
@@ -139,7 +135,7 @@ func Check(prog *ir.Program, opts Options) *Report {
 		r.violate("roundtrip", strategy.EntryExit, "unplaced program does not round-trip")
 	}
 
-	if _, err := profile.CollectWithConfig(base, vm.Config{MaxSteps: opts.MaxSteps, Engine: opts.Engine}, opts.Args...); err != nil {
+	if _, err := profile.CollectWithConfig(base, vm.Config{MaxSteps: opts.MaxSteps}, opts.Args...); err != nil {
 		r.violate("profile", strategy.EntryExit, "%v", err)
 		return r
 	}
@@ -235,7 +231,7 @@ func Check(prog *ir.Program, opts Options) *Report {
 		if !roundTrip(clone) {
 			r.violate("roundtrip", s, "placed program does not round-trip")
 		}
-		m := vm.New(clone, vm.Config{Machine: mach, MaxSteps: opts.MaxSteps, Engine: opts.Engine})
+		m := vm.New(clone, vm.Config{Machine: mach, MaxSteps: opts.MaxSteps})
 		v, err := m.Run(opts.Args...)
 		if err != nil {
 			r.violate("run", s, "%v", err)

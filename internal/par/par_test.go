@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -130,3 +131,50 @@ func TestDoZeroItems(t *testing.T) {
 		t.Errorf("Do over zero items: %v", err)
 	}
 }
+
+// TestDoContainsPanics: a panicking item fails with a *PanicError that
+// names its index and carries its stack, on the serial and the
+// parallel path alike, and the lowest-failed-index guarantee covers
+// panics and ordinary errors together.
+func TestDoContainsPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := Do(50, workers, func(i int) error {
+			switch {
+			case i%10 == 7:
+				panicAt(i)
+			case i == 13:
+				return errors.New("fail at 13")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if pe.Index != 7 || pe.Value != "boom at 7" {
+			t.Errorf("workers=%d: panic error %+v, want index 7, value boom at 7", workers, pe)
+		}
+		if !strings.Contains(string(pe.Stack), "panicAt") {
+			t.Errorf("workers=%d: stack does not reach the panicking function:\n%s", workers, pe.Stack)
+		}
+		if want := "par: item 7 panicked: boom at 7"; err.Error() != want {
+			t.Errorf("workers=%d: message %q, want %q", workers, err.Error(), want)
+		}
+
+		// An ordinary error below the panic still wins.
+		err = Do(50, workers, func(i int) error {
+			switch i {
+			case 2:
+				return errors.New("fail at 2")
+			case 5:
+				panicAt(i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fail at 2" {
+			t.Errorf("workers=%d: err = %v, want fail at 2", workers, err)
+		}
+	}
+}
+
+func panicAt(i int) { panic(fmt.Sprintf("boom at %d", i)) }

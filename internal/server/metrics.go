@@ -77,7 +77,10 @@ type RequestCounters struct {
 	BadRequest int64 `json:"bad_request"`
 	TooLarge   int64 `json:"too_large"`
 	Errors     int64 `json:"errors"`
-	InFlight   int64 `json:"in_flight"`
+	// Panics counts the errors caused by a pipeline panic, recovered
+	// by the handler or contained by a worker pool.
+	Panics   int64 `json:"panics"`
+	InFlight int64 `json:"in_flight"`
 }
 
 // AnalysisCacheStats reports the shared analysis cache and the
@@ -160,11 +163,15 @@ func (m *metrics) begin() {
 }
 
 // done records a finished request: its HTTP status, whether it was
-// served from a cache (program- or function-level), and its latency.
-func (m *metrics) done(status int, fromCache bool, d time.Duration) {
+// served from a cache (program- or function-level), whether a panic
+// caused it, and its latency.
+func (m *metrics) done(status int, fromCache, panicked bool, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests.InFlight--
+	if panicked {
+		m.requests.Panics++
+	}
 	switch {
 	case status >= 200 && status < 300:
 		m.requests.OK++

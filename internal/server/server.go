@@ -27,6 +27,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
+	"repro/internal/par"
 	"repro/internal/regalloc"
 	"repro/internal/vm"
 )
@@ -127,8 +128,8 @@ type PlaceRequest struct {
 	// Run additionally executes the placed program and reports the
 	// measured result.
 	Run bool `json:"run,omitempty"`
-	// Engine names the VM engine executions use (default "bytecode";
-	// "regcode" and "tree" are the alternatives). The engines are
+	// Engine names the VM engine executions use: "regcode" (the
+	// default) or "tree", the reference interpreter. The engines are
 	// parity-tested to identical results, so the option only changes
 	// how fast run mode executes.
 	Engine string `json:"engine,omitempty"`
@@ -206,6 +207,10 @@ type Server struct {
 	// program exercised through the real pipeline and caches.
 	canned     string
 	cannedArgs []int64
+
+	// allocate is the pipeline's allocation step; tests swap it to
+	// inject failures the real pipeline cannot be driven into.
+	allocate func(*spillopt.Program) error
 }
 
 // New builds a Server with the given configuration.
@@ -217,6 +222,7 @@ func New(cfg Config) *Server {
 	s.funcCache = contentcache.New[funcKey, FunctionEntry](cfg.FunctionCacheEntries, cfg.FunctionCacheBytes, nil)
 	s.canned = irtext.Print(irgen.Generate(1, irgen.Small()))
 	s.cannedArgs = []int64{5}
+	s.allocate = (*spillopt.Program).Allocate
 	return s
 }
 
@@ -234,14 +240,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// handlePlace serves one /v1/place request. A panic anywhere in the
+// pipeline is recovered here into a 500 with a JSON error, so the
+// client gets an answer, the in-flight gauge comes back down, and the
+// panic is counted in /metrics.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.begin()
-	status, fromCache := s.servePlace(w, r)
-	s.metrics.done(status, fromCache, time.Since(start))
+	status, fromCache, panicked := http.StatusInternalServerError, false, true
+	defer func() {
+		if v := recover(); v != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: panic: %v", v))
+		}
+		s.metrics.done(status, fromCache, panicked, time.Since(start))
+	}()
+	status, fromCache, panicked = s.servePlace(w, r)
 }
 
-func (s *Server) servePlace(w http.ResponseWriter, r *http.Request) (status int, fromCache bool) {
+func (s *Server) servePlace(w http.ResponseWriter, r *http.Request) (status int, fromCache, panicked bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -249,26 +265,26 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request) (status int,
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return http.StatusRequestEntityTooLarge, false
+			return http.StatusRequestEntityTooLarge, false, false
 		}
 		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-		return http.StatusBadRequest, false
+		return http.StatusBadRequest, false, false
 	}
 	var req PlaceRequest
 	if err := json.Unmarshal(data, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return http.StatusBadRequest, false
+		return http.StatusBadRequest, false, false
 	}
 	if strings.TrimSpace(req.IR) == "" {
 		writeError(w, http.StatusBadRequest, "empty ir")
-		return http.StatusBadRequest, false
+		return http.StatusBadRequest, false, false
 	}
 	o := s.place(&req)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", o.cache)
 	w.WriteHeader(o.status)
 	w.Write(o.body)
-	return o.status, o.cache != cacheMiss
+	return o.status, o.cache != cacheMiss, o.panicked
 }
 
 // placeOutcome is one placement's result, independent of HTTP
@@ -277,11 +293,22 @@ type placeOutcome struct {
 	status int
 	body   []byte
 	cache  string
+	// panicked marks a failure from a pipeline panic that a worker
+	// pool contained (par.PanicError).
+	panicked bool
 }
 
+// fail builds an error outcome. A panic contained by a worker pool is
+// the service's fault whatever stage raised it, so it is a 500 even
+// where the caller would report a failing input as 4xx.
 func fail(status int, err error) placeOutcome {
+	var pe *par.PanicError
+	panicked := errors.As(err, &pe)
+	if panicked {
+		status = http.StatusInternalServerError
+	}
 	body, _ := json.Marshal(map[string]string{"error": err.Error()})
-	return placeOutcome{status: status, body: body, cache: cacheMiss}
+	return placeOutcome{status: status, body: body, cache: cacheMiss, panicked: panicked}
 }
 
 // place runs one placement request through the caches and, on miss,
@@ -305,12 +332,11 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	// Tiering is an execution-time optimization: it implies Run, and
 	// the normalization happens before cache keying so {tier} and
 	// {tier, run} alias one entry.
-	engineGiven := req.Engine != ""
 	if req.Tier {
 		req.Run = true
 	}
 	if req.Engine == "" {
-		req.Engine = "bytecode"
+		req.Engine = "regcode"
 	}
 	if _, err := vm.ParseEngine(req.Engine); err != nil {
 		return fail(http.StatusBadRequest, err)
@@ -320,14 +346,8 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	}
 	if req.Run {
 		// Counted at admission, not execution, so cache hits show up in
-		// the per-engine totals too. Tiered runs without an explicit
-		// engine execute on the tiered pipeline's native regcode.
-		switch {
-		case !engineGiven && req.Tier:
-			s.metrics.engineRun("regcode")
-		default:
-			s.metrics.engineRun(req.Engine)
-		}
+		// the per-engine totals too.
+		s.metrics.engineRun(req.Engine)
 	}
 	if req.Tier {
 		// Counted at admission too, so cached tiered responses still
@@ -385,12 +405,8 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	prog.UseAnalysisCache(s.ac)
 	prog.Parallelism = s.cfg.Parallelism
 	prog.MaxSteps = s.cfg.MaxVMSteps
-	if engineGiven || !req.Tier {
-		// Without an explicit engine, tiered runs stay on the tiered
-		// pipeline's native regcode engine.
-		if err := prog.UseEngine(req.Engine); err != nil {
-			return fail(http.StatusBadRequest, err)
-		}
+	if err := prog.UseEngine(req.Engine); err != nil {
+		return fail(http.StatusBadRequest, err)
 	}
 	if req.Tier {
 		// The tiered pipeline starts from static estimates; the measured
@@ -436,7 +452,7 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 		}
 		s.metrics.placed(len(funcs), s.ac.Len())
 	}()
-	if err := prog.Allocate(); err != nil {
+	if err := s.allocate(prog); err != nil {
 		if errors.Is(err, regalloc.ErrTooLarge) {
 			return fail(http.StatusRequestEntityTooLarge, err)
 		}

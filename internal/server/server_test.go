@@ -18,6 +18,7 @@ import (
 	"repro"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
+	"repro/internal/par"
 	"repro/internal/regalloc"
 )
 
@@ -605,27 +606,37 @@ func TestPlaceEngines(t *testing.T) {
 		}
 	}
 
-	// The default is the bytecode engine: an engineless request hits
-	// the same cache entry as an explicit engine=bytecode one.
-	resp, _ := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}, Run: true})
+	// The default is the regcode engine: an engineless request hits
+	// the same cache entry as an explicit engine=regcode one, and its
+	// run is counted under regcode.
+	resp, body := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}, Run: true})
 	if got := resp.Header.Get("X-Cache"); got != "program" {
 		t.Errorf("engineless resubmission: X-Cache = %q, want program", got)
 	}
-
-	resp, body := post(t, ts, PlaceRequest{IR: src, Run: true, Engine: "jit"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown engine: status %d: %s", resp.StatusCode, body)
+	if !bytes.Equal(body, first) {
+		t.Errorf("engineless response differs from engine=regcode's:\n%s\nvs\n%s", body, first)
 	}
-	if !strings.Contains(string(body), "unknown engine") {
-		t.Fatalf("unknown engine: body %s", body)
+
+	// The removed bytecode engine is an unknown name like any other.
+	for _, engine := range []string{"jit", "bytecode"} {
+		resp, body := post(t, ts, PlaceRequest{IR: src, Run: true, Engine: engine})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("engine %q: status %d: %s", engine, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "unknown engine") {
+			t.Fatalf("engine %q: body %s", engine, body)
+		}
 	}
 
 	sn := s.snapshot()
-	want := map[string]int64{"bytecode": 2, "regcode": 1, "tree": 1}
+	want := map[string]int64{"regcode": 2, "tree": 1}
 	for engine, n := range want {
 		if sn.EngineRuns[engine] != n {
 			t.Errorf("engine_runs[%s] = %d, want %d (all: %v)", engine, sn.EngineRuns[engine], n, sn.EngineRuns)
 		}
+	}
+	if len(sn.EngineRuns) != len(want) {
+		t.Errorf("engine_runs = %v, want only %v", sn.EngineRuns, want)
 	}
 }
 
@@ -691,5 +702,47 @@ func TestAllocOption(t *testing.T) {
 	}
 	if uni.Run == nil || mach.Run == nil || uni.Run.Value != mach.Run.Value {
 		t.Errorf("machine alloc changed the computed value: %+v vs %+v", uni.Run, mach.Run)
+	}
+}
+
+// TestPlacePanicContained: a panic in the pipeline ends the request in
+// a 500 with a JSON error instead of a dropped connection, whether it
+// unwinds straight to the handler or a worker pool contains it into a
+// par.PanicError (which is never blamed on the input as a 400). Either
+// way the in-flight gauge returns to zero, /metrics counts the panic,
+// and the service keeps answering.
+func TestPlacePanicContained(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	src := testProgram(7)
+	inject := map[string]func(*spillopt.Program) error{
+		"handler": func(*spillopt.Program) error { panic("injected handler panic") },
+		"worker": func(*spillopt.Program) error {
+			return par.Do(4, 2, func(i int) error {
+				if i == 2 {
+					panic("injected worker panic")
+				}
+				return nil
+			})
+		},
+	}
+	for _, name := range []string{"handler", "worker"} {
+		s.allocate = inject[name]
+		resp, body := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s panic: status %d: %s", name, resp.StatusCode, body)
+		}
+		var e struct{ Error string }
+		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "injected "+name+" panic") {
+			t.Errorf("%s panic: body %s is not a JSON error naming the panic (%v)", name, body, err)
+		}
+	}
+
+	s.allocate = (*spillopt.Program).Allocate
+	if resp, body := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the panics: status %d: %s", resp.StatusCode, body)
+	}
+	req := s.snapshot().Requests
+	if req.InFlight != 0 || req.Panics != 2 || req.Errors != 2 || req.OK != 1 {
+		t.Errorf("requests = %+v, want 0 in flight, 2 panics, 2 errors, 1 ok", req)
 	}
 }

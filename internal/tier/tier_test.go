@@ -66,7 +66,6 @@ func TestTieredMatchesUntieredValue(t *testing.T) {
 			Strategy:    strategy.HierarchicalJump,
 			Quantum:     quantum,
 			Parallelism: 1,
-			Engine:      vm.EngineRegcode,
 		}, args...)
 		if err != nil {
 			t.Fatalf("seed %d: tiered run: %v", seed, err)
@@ -121,7 +120,6 @@ func TestTierStepAccountingAtHalt(t *testing.T) {
 			Quantum:     quantum,
 			MaxSteps:    budget,
 			Parallelism: 1,
-			Engine:      vm.EngineRegcode,
 		}, args...)
 		if !vm.IsStepLimit(err) {
 			t.Fatalf("seed %d: want step-limit halt, got %v", seed, err)
@@ -142,7 +140,6 @@ func TestTierStepAccountingAtHalt(t *testing.T) {
 			Quantum:     budget,
 			MaxSteps:    budget,
 			Parallelism: 1,
-			Engine:      vm.EngineRegcode,
 		}, args...)
 		if !vm.IsStepLimit(err) {
 			t.Fatalf("seed %d: quantum==budget: want step-limit halt, got %v", seed, err)
@@ -178,7 +175,6 @@ func TestTierNoBoundaryIsUntiered(t *testing.T) {
 			Strategy:    strategy.HierarchicalJump,
 			Quantum:     1 << 26,
 			Parallelism: 1,
-			Engine:      vm.EngineRegcode,
 		}, args...)
 		if err != nil {
 			t.Fatalf("seed %d: tiered run: %v", seed, err)
@@ -195,8 +191,8 @@ func TestTierNoBoundaryIsUntiered(t *testing.T) {
 	}
 }
 
-// TestTierEngineParity: the tiered pipeline is engine-invariant — for
-// every engine the tiered run agrees with the tree reference on
+// TestTierEngineParity: the tiered pipeline is engine-invariant — the
+// tiered run on the regcode engine agrees with the tree reference on
 // values, statistics, boundary counters, and the recompiled tier-1
 // program byte for byte, and the tier-1 program itself holds engine
 // parity on values, edge counts, and step-limit halts.
@@ -204,10 +200,8 @@ func TestTierEngineParity(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		prog := irgen.Generate(seed, irgen.Hostile())
 		args := []int64{int64(seed % 7)}
-		for _, e := range []vm.Engine{vm.EngineBytecode, vm.EngineRegcode} {
-			for _, m := range irgen.TierParitySweep(prog, e, args, 700, 1<<22) {
-				t.Errorf("seed %d: %s", seed, m)
-			}
+		for _, m := range irgen.TierParitySweep(prog, args, 700, 1<<22) {
+			t.Errorf("seed %d: %s", seed, m)
 		}
 	}
 }

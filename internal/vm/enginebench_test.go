@@ -62,25 +62,12 @@ func benchEngine(b *testing.B, e vm.Engine) {
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-func BenchmarkEngineBytecode(b *testing.B) { benchEngine(b, vm.EngineBytecode) }
-
 func BenchmarkEngineRegcode(b *testing.B) { benchEngine(b, vm.EngineRegcode) }
 
 func BenchmarkEngineTree(b *testing.B) { benchEngine(b, vm.EngineTree) }
 
-// BenchmarkEngineBytecodeProfiling measures the profiling
+// BenchmarkEngineRegcodeProfiling measures the profiling
 // configuration (edge collection on), the other hot path.
-func BenchmarkEngineBytecodeProfiling(b *testing.B) {
-	w := placedBench(b, "vortex")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := vm.New(w.prog, vm.Config{CollectEdges: true, Engine: vm.EngineBytecode})
-		if _, err := m.Run(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEngineRegcodeProfiling(b *testing.B) {
 	w := placedBench(b, "vortex")
 	b.ResetTimer()

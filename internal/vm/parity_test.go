@@ -1,8 +1,8 @@
 package vm_test
 
-// Differential parity harness: the bytecode engine (the default), the
-// register-transfer regcode engine, and the legacy tree-walking
-// interpreter must agree exactly — return value, every Stats counter
+// Differential parity harness: the register-transfer regcode engine
+// (the default) and the tree-walking reference interpreter must agree
+// exactly — return value, every Stats counter
 // including the per-function call map, the per-edge execution counts,
 // and error messages — on every checked-in testdata program and on
 // hundreds of generated programs, raw and after every placement
@@ -50,20 +50,18 @@ func runEngine(prog *ir.Program, e vm.Engine, cfg vm.Config, args []int64) runOu
 func assertParity(t *testing.T, label string, prog *ir.Program, cfg vm.Config, args []int64) {
 	t.Helper()
 	tr := runEngine(prog, vm.EngineTree, cfg, args)
-	for _, e := range []vm.Engine{vm.EngineBytecode, vm.EngineRegcode} {
-		got := runEngine(prog, e, cfg, args)
-		if got.err != tr.err {
-			t.Fatalf("%s: error mismatch:\n  %-8v: %q\n  tree    : %q", label, e, got.err, tr.err)
-		}
-		if got.err == "" && got.val != tr.val {
-			t.Fatalf("%s: value mismatch: %v %d, tree %d", label, e, got.val, tr.val)
-		}
-		if !reflect.DeepEqual(got.stats, tr.stats) {
-			t.Fatalf("%s: stats mismatch:\n  %-8v: %+v\n  tree    : %+v", label, e, got.stats, tr.stats)
-		}
-		if cfg.CollectEdges && !reflect.DeepEqual(got.edges, tr.edges) {
-			t.Fatalf("%s: edge count mismatch:\n  %-8v: %v\n  tree    : %v", label, e, got.edges, tr.edges)
-		}
+	got := runEngine(prog, vm.EngineRegcode, cfg, args)
+	if got.err != tr.err {
+		t.Fatalf("%s: error mismatch:\n  regcode: %q\n  tree   : %q", label, got.err, tr.err)
+	}
+	if got.err == "" && got.val != tr.val {
+		t.Fatalf("%s: value mismatch: regcode %d, tree %d", label, got.val, tr.val)
+	}
+	if !reflect.DeepEqual(got.stats, tr.stats) {
+		t.Fatalf("%s: stats mismatch:\n  regcode: %+v\n  tree   : %+v", label, got.stats, tr.stats)
+	}
+	if cfg.CollectEdges && !reflect.DeepEqual(got.edges, tr.edges) {
+		t.Fatalf("%s: edge count mismatch:\n  regcode: %v\n  tree   : %v", label, got.edges, tr.edges)
 	}
 }
 

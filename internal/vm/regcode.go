@@ -1,8 +1,8 @@
 package vm
 
 // regcode.go lowers an *ir.Program into register-transfer code, the
-// third engine's input (regexec.go). It goes beyond the stack-style
-// bytecode compiler (bytecode.go) on four axes:
+// input of the default engine's dispatch loop (regexec.go). Each
+// function is compiled exactly once, at New:
 //
 //   - Unified register bank. Each invocation executes against one flat
 //     []int64 holding a copy of the referenced physical registers, the
@@ -12,17 +12,21 @@ package vm
 //     no phys-vs-frame branch, no slot rebasing at run time. The
 //     physical prefix is copied in from the VM's global register file
 //     at entry and copied back out at every exit (and around calls),
-//     preserving the global-register semantics the other engines
-//     implement directly.
+//     preserving the global-register semantics the tree interpreter
+//     implements directly. Overhead classes (spill load/store, save,
+//     restore, jump-block jump) are precomputed into a byte, branch
+//     targets into instruction indices, CFG edges into dense edge
+//     indices, and callees into dense function indices.
 //
-//   - Loop-header superinstructions. On top of the pair fusions shared
-//     with the bytecode engine (compare+branch, const+binop), the
-//     compiler fuses whole loop-header shapes: the canonical 5-op loop
-//     latch (const increment, in-place add, const bound, compare,
-//     branch), const+compare+branch triples, and const+binop+spill.st
-//     triples. Fused forms execute every constituent's architectural
-//     effect literally, in order, through the bank, so aliased
-//     operands behave exactly as in the unfused sequence.
+//   - Superinstructions. Adjacent instructions fuse into one dispatch:
+//     compare+branch and const+binop pairs, and whole loop-header
+//     shapes — the canonical 5-op loop latch (const increment, in-place
+//     add, const bound, compare, branch), const+compare+branch triples,
+//     and const+binop+spill.st triples. Fusion is safe because branch
+//     targets are always block heads, and fused forms execute every
+//     constituent's architectural effect literally, in order, through
+//     the bank, so aliased operands behave exactly as in the unfused
+//     sequence.
 //
 //   - Quantum-batched step accounting. Instructions are grouped into
 //     quanta — maximal straight-line runs ending at a terminator,
@@ -34,12 +38,15 @@ package vm
 //     falls back to a per-instruction careful mode that reproduces the
 //     tree interpreter's halt accounting exactly (regexec.go).
 //
-//   - Frames come from a chunked per-VM arena (regexec.go) instead of
-//     sync.Pool, so steady-state execution allocates nothing.
+//   - Frames come from a per-VM arena (regexec.go) whose first chunk
+//     is sized from the program's largest bank, so steady-state
+//     execution allocates nothing and small programs reserve little.
 //
-// Malformed programs compile into the same trap instructions as the
-// bytecode engine (bcBadOp, bcFellOff) and raise identical errors if —
-// and only if — they execute.
+// Malformed programs the tree interpreter only rejects when execution
+// reaches the bad spot (undefined callees, unknown opcodes, blocks
+// without terminators) compile into trap instructions (rBadOp,
+// rFellOff) that raise the identical error if — and only if — they
+// execute.
 
 import (
 	"math"
@@ -52,9 +59,8 @@ import (
 // dispatch switch covers a dense range and compiles to a single jump
 // table instead of a branch tree.
 const (
-	// Traps, mirroring bcBadOp/bcFellOff (the bytecode constants sit
-	// at the top of the opcode byte, which would punch holes in the
-	// jump table).
+	// Traps, reproducing the tree interpreter's runtime errors for
+	// malformed programs lazily.
 	rBadOp   ir.Op = ir.OpJmp + 1 + iota // unknown opcode (original in .a)
 	rFellOff                             // block without terminator
 	// Compare feeding the block's conditional branch (pair fusion):
@@ -103,6 +109,39 @@ func rFusedCmpBr(op ir.Op) ir.Op     { return rCmpEQBr + (op - ir.OpCmpEQ) }
 func fusedConstCmpBr(op ir.Op) ir.Op { return rConstCmpEQBr + (op - ir.OpCmpEQ) }
 func fusedLatch(op ir.Op) ir.Op      { return rLatchEQ + (op - ir.OpCmpEQ) }
 
+// Overhead classes, precomputed from (Op, Flags) with exactly the
+// tree interpreter's attribution rules.
+const (
+	ovNone uint8 = iota
+	ovSpillLoad
+	ovSpillStore
+	ovSave
+	ovRestore
+	ovJumpBlock
+)
+
+func ovClass(in *ir.Instr) uint8 {
+	switch {
+	case in.Flags&ir.FlagSpill != 0 && in.Op == ir.OpSpillLoad:
+		return ovSpillLoad
+	case in.Flags&ir.FlagSpill != 0 && in.Op == ir.OpSpillStore:
+		return ovSpillStore
+	case in.Flags&ir.FlagSaveRestore != 0 && in.Op == ir.OpSave:
+		return ovSave
+	case in.Flags&ir.FlagSaveRestore != 0 && in.Op == ir.OpRestore:
+		return ovRestore
+	case in.Flags&ir.FlagJumpBlock != 0:
+		return ovJumpBlock
+	}
+	return ovNone
+}
+
+// packEdges packs two dense edge indices (-1 = edge absent) into one
+// word for a conditional branch: then-edge high, else-edge low.
+func packEdges(e1, e2 int32) int64 {
+	return int64(uint64(uint32(e1))<<32 | uint64(uint32(e2)))
+}
+
 // packI32 packs two int32-range constants into one imm, k1 high.
 func packI32(k1, k2 int64) int64 {
 	return int64(uint64(uint32(int32(k1)))<<32 | uint64(uint32(int32(k2))))
@@ -112,8 +151,15 @@ func fitsI32(k int64) bool { return k >= math.MinInt32 && k <= math.MaxInt32 }
 
 // rinst is one pre-decoded register-transfer instruction. All register
 // operands are direct bank indices (-1 = absent). Field meaning varies
-// by op as documented on the opcode constants; for plain ops it
-// mirrors binst with slot offsets pre-rebased into the bank.
+// by op as documented on the opcode constants; for plain ops:
+//
+//	const            imm = constant
+//	load/store       imm = address offset
+//	spill.*/save/restore  imm = bank index of the slot (pre-rebased)
+//	call             imm = index into the function's call table
+//	br               t1/t2 = then/else instruction indices,
+//	                 ex = packed then/else dense edge indices
+//	jmp              t1 = target instruction index, ex = edge index
 //
 // qlen/rem drive the quantum-batched step accounting: rem is the total
 // IR-instruction weight strictly after this instruction within its
@@ -136,13 +182,20 @@ type rinst struct {
 	ex   int64
 }
 
+// rcCall is one call site's side data.
+type rcCall struct {
+	callee int32  // dense function index, -1 if undefined
+	name   string // callee name, for the undefined-function error
+	args   []int32
+}
+
 // rcFunc is one compiled function.
 type rcFunc struct {
 	name   string
 	ins    []rinst
 	entry  int32
 	params []int32 // parameter bank indices
-	calls  []bcCall
+	calls  []rcCall
 
 	// The bank layout: [0, physLen) is the physical-register prefix
 	// copied in/out of the VM's global file; virtuals, spill slots,
@@ -150,6 +203,8 @@ type rcFunc struct {
 	physLen int
 	bankLen int
 
+	// blockOf/blockName attribute an instruction index back to its
+	// basic block, for error messages only.
 	blockOf   []int32
 	blockName []string
 }
@@ -164,9 +219,10 @@ func (fc *rcFunc) block(pc int32) string {
 
 // rcProgram is a compiled program.
 type rcProgram struct {
-	funcs []*rcFunc
-	main  int32
-	edges []*ir.Edge // dense edge index -> CFG edge, for profiling
+	funcs   []*rcFunc
+	main    int32      // dense index of the main function, -1 if absent
+	edges   []*ir.Edge // dense edge index -> CFG edge, for profiling
+	maxBank int        // the largest bankLen, for sizing the frame arena
 }
 
 // edgeIndex assigns e a dense index shared across the compiled
@@ -194,7 +250,9 @@ func compileRegProgram(p *ir.Program, physMin int) *rcProgram {
 		c.main = mi
 	}
 	for _, f := range funcs {
-		c.funcs = append(c.funcs, c.compileRegFunc(f, index, physMin))
+		fc := c.compileRegFunc(f, index, physMin)
+		c.funcs = append(c.funcs, fc)
+		c.maxBank = max(c.maxBank, fc.bankLen)
 	}
 	return c
 }
@@ -205,11 +263,15 @@ func (c *rcProgram) compileRegFunc(f *ir.Func, index map[string]int32, physMin i
 	fc.ins = make([]rinst, 0, cap)
 	fc.blockOf = make([]int32, 0, cap)
 
-	// Pass 1: size the bank. The physical prefix covers exactly the
-	// registers the function (or the convention checker) can touch;
-	// virtual space covers only referenced virtuals; declared slot
-	// counts are grown over out-of-range references, exactly as the
-	// bytecode compiler does.
+	// Pass 1: size the bank exactly, so frames never grow mid-run. The
+	// physical prefix covers the registers the function (or the
+	// convention checker) can touch. Virtual space covers only the
+	// referenced virtuals — after register allocation every operand is
+	// physical and the virtual area collapses to nothing, however high
+	// f.NumVirt grew during compilation. Declared slot counts are
+	// trusted but grown over any out-of-range slot reference
+	// (hand-built programs may reference slots they never declared;
+	// the tree interpreter grows frames lazily for those).
 	physLen, virtSize := physMin, 0
 	track := func(r ir.Reg) {
 		if r.IsVirt() {
@@ -344,7 +406,7 @@ func (c *rcProgram) compileRegFunc(f *ir.Func, index map[string]int32, physMin i
 				}
 			}
 
-			// Pair fusions, shared with the bytecode engine.
+			// Pair fusions: compare + branch, const + binop.
 			if ovClass(in) == ovNone && i+1 < len(b.Instrs) {
 				next := b.Instrs[i+1]
 				if ovClass(next) == ovNone && in.Dst.IsValid() {
@@ -378,7 +440,7 @@ func (c *rcProgram) compileRegFunc(f *ir.Func, index map[string]int32, physMin i
 			case in.Op == ir.OpSpillLoad || in.Op == ir.OpSpillStore:
 				d.imm = spillBase + in.Imm
 				if in.Imm < 0 {
-					d.imm = -1 // panics on execution, like the other engines
+					d.imm = -1 // panics on execution, like the tree engine
 				}
 			case in.Op == ir.OpSave || in.Op == ir.OpRestore:
 				d.imm = saveBase + in.Imm
@@ -395,12 +457,15 @@ func (c *rcProgram) compileRegFunc(f *ir.Func, index map[string]int32, physMin i
 					callee = ci
 				}
 				d.imm = int64(len(fc.calls))
-				fc.calls = append(fc.calls, bcCall{callee: callee, name: in.Callee, args: args})
+				fc.calls = append(fc.calls, rcCall{callee: callee, name: in.Callee, args: args})
 			case in.Op == ir.OpBr || in.Op == ir.OpJmp:
 				patches = append(patches, patch{pc: int32(len(fc.ins)), in: in, b: b})
 			}
 			emit(d)
 		}
+		// A block without a terminator runs off its end; the trap
+		// reproduces the tree interpreter's error without counting an
+		// extra executed instruction.
 		emit(rinst{op: rFellOff})
 	}
 	if len(fc.ins) == 0 || f.Entry == nil {
@@ -419,6 +484,8 @@ func (c *rcProgram) compileRegFunc(f *ir.Func, index map[string]int32, physMin i
 			t1, ok1 := start[pt.in.Then]
 			t2, ok2 := start[pt.in.Else]
 			if !ok1 || !ok2 {
+				// Target outside the function: the tree interpreter
+				// crashes on this; trap with an error instead.
 				*d = rinst{op: rBadOp, a: int32(pt.in.Op)}
 				continue
 			}

@@ -230,7 +230,7 @@ func TestRegcodeConventionViolation(t *testing.T) {
 func countFormTwo(prog *ir.Program) int {
 	v := New(prog, Config{Engine: EngineRegcode})
 	n := 0
-	for _, fc := range v.rcode.funcs {
+	for _, fc := range v.code.funcs {
 		for i := range fc.ins {
 			in := &fc.ins[i]
 			switch {
@@ -318,11 +318,9 @@ func TestRegcodeConstFormTwo(t *testing.T) {
 	}
 }
 
-// TestRegcodeArenaRelease: frames come from the chunked arena with
-// LIFO discipline — after any run, successful or erroring, the arena
-// is fully released and a second run on the same VM reuses it.
-func TestRegcodeArenaRelease(t *testing.T) {
-	// Deep recursion: 64 live frames, then unwinding.
+// countdown is f(n) = n > 0 ? f(n-1) : n, main = f: a call chain n
+// frames deep.
+func countdown() *ir.Program {
 	fb := ir.NewBuilder("f", 1)
 	entry := fb.Block("entry")
 	rec := fb.F.NewBlock("rec")
@@ -346,7 +344,15 @@ func TestRegcodeArenaRelease(t *testing.T) {
 	p := ir.NewProgram()
 	p.Main = "f"
 	p.Add(fb.Finish())
+	return p
+}
 
+// TestRegcodeArenaRelease: frames come from the chunked arena with
+// LIFO discipline — after any run, successful or erroring, the arena
+// is fully released and a second run on the same VM reuses it.
+func TestRegcodeArenaRelease(t *testing.T) {
+	// Deep recursion: 64 live frames, then unwinding.
+	p := countdown()
 	m := New(p, Config{Engine: EngineRegcode})
 	for i := 0; i < 2; i++ {
 		if _, err := m.Run(64); err != nil {
@@ -373,5 +379,68 @@ func TestRegcodeArenaRelease(t *testing.T) {
 	}
 	if got := len(m.arena.chunks); got != chunks {
 		t.Fatalf("arena grew across identical runs: %d -> %d chunks", chunks, got)
+	}
+}
+
+// TestRegcodeDeepRecursionParity: the arena's first chunk is sized
+// from the program's largest bank, so recursion up to maxCallDepth
+// spills across several doubling chunks. Values, statistics, and the
+// call-depth error must still match the tree reference exactly, with
+// and without the convention checker's larger banks, and every run
+// must leave the arena released.
+func TestRegcodeDeepRecursionParity(t *testing.T) {
+	p := countdown()
+	for _, mach := range []*machine.Desc{nil, machine.PARISC()} {
+		cfg := Config{Machine: mach}
+		for _, n := range []int64{maxCallDepth - 12, maxCallDepth, maxCallDepth + 1} {
+			reg, tree := runBoth(t, p, cfg, n)
+			assertSame(t, fmt.Sprintf("machine=%v n=%d", mach != nil, n), reg, tree)
+		}
+		if _, tree := runBoth(t, p, cfg, maxCallDepth+1); !strings.Contains(tree.err, "call depth exceeded") {
+			t.Fatalf("n=%d: want a call depth error, got %q", maxCallDepth+1, tree.err)
+		}
+
+		m := New(p, cfg)
+		if _, err := m.Run(maxCallDepth); err != nil {
+			t.Fatal(err)
+		}
+		if first := m.arena.first; first >= rcChunkWords || first != 4*m.code.maxBank {
+			t.Errorf("machine=%v: first chunk %d words, want 4x the largest bank (%d)", mach != nil, first, m.code.maxBank)
+		}
+		if got := len(m.arena.chunks); got < 4 {
+			t.Errorf("machine=%v: %d frames fit in %d chunks, want the recursion to cross several", mach != nil, maxCallDepth, got)
+		}
+		for i := 1; i < len(m.arena.chunks); i++ {
+			if prev, cur := len(m.arena.chunks[i-1]), len(m.arena.chunks[i]); cur != 2*prev {
+				t.Errorf("machine=%v: chunk %d holds %d words after %d, want doubling", mach != nil, i, cur, prev)
+			}
+		}
+		if m.arena.ci != 0 || m.arena.off != 0 {
+			t.Errorf("machine=%v: arena not released: ci=%d off=%d", mach != nil, m.arena.ci, m.arena.off)
+		}
+	}
+}
+
+// TestRegcodeRerunAllocatesNothing: once a VM has run a program, the
+// arena, the dense counters, the convention snapshot stack, and the
+// Stats/EdgeCount keys all exist, so running it again allocates
+// nothing.
+func TestRegcodeRerunAllocatesNothing(t *testing.T) {
+	p := countdown()
+	m := New(p, Config{Machine: machine.PARISC(), CollectEdges: true})
+	if _, err := m.Run(300); err != nil {
+		t.Fatal(err)
+	}
+	// One run per measurement: AllocsPerRun averages with integer
+	// division, so a batch would hide an occasional allocation.
+	for i := 0; i < 5; i++ {
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := m.Run(300); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("rerun %d allocated %.0f times, want 0", i, allocs)
+		}
 	}
 }

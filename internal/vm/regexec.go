@@ -26,21 +26,28 @@ import (
 // LIFO mark/release, so steady-state execution allocates nothing.
 // Handed-out banks are not zeroed; the caller initializes the physical
 // prefix by copy and clears the rest.
+//
+// The first chunk holds first words — New sizes it from the program's
+// largest bank, so a shallow run of a small program reserves only a
+// few frames' worth — and each later chunk doubles the one before, so
+// deep recursion still costs only logarithmically many chunks.
 type rcArena struct {
 	chunks  [][]int64
 	ci, off int
+	first   int
 }
 
+// rcChunkWords caps the first chunk of the frame arena.
 const rcChunkWords = 1 << 12
 
 func (a *rcArena) alloc(n int) []int64 {
 	for {
 		if a.ci == len(a.chunks) {
-			sz := rcChunkWords
-			if n > sz {
-				sz = n
+			sz := a.first
+			if k := len(a.chunks); k > 0 {
+				sz = 2 * len(a.chunks[k-1])
 			}
-			a.chunks = append(a.chunks, make([]int64, sz))
+			a.chunks = append(a.chunks, make([]int64, max(sz, n)))
 		}
 		if ch := a.chunks[a.ci]; a.off+n <= len(ch) {
 			s := ch[a.off : a.off+n]
@@ -55,7 +62,7 @@ func (a *rcArena) mark() (int, int)    { return a.ci, a.off }
 func (a *rcArena) release(ci, off int) { a.ci, a.off = ci, off }
 
 func (v *VM) runRegcode(args []int64) (int64, error) {
-	c := v.rcode
+	c := v.code
 	if c.main < 0 {
 		return 0, fmt.Errorf("vm: main function %q not found", v.prog.Main)
 	}
@@ -70,10 +77,12 @@ func (v *VM) runRegcode(args []int64) (int64, error) {
 	return val, err
 }
 
-// flushRegDense mirrors flushDense for the regcode program's dense
-// call and edge counters.
+// flushRegDense materializes the dense call and edge counters into the
+// public map-based Stats.Calls and EdgeCount, preserving the tree
+// engine's observable shape (only invoked functions and traversed
+// edges appear as keys), then resets them so repeated Runs accumulate.
 func (v *VM) flushRegDense() {
-	c := v.rcode
+	c := v.code
 	for i, n := range v.callDense {
 		if n != 0 {
 			v.Stats.Calls[c.funcs[i].name] += n
@@ -90,6 +99,16 @@ func (v *VM) flushRegDense() {
 	}
 }
 
+// flushSeg folds a dispatch segment's locally accumulated counters
+// into the VM. Taking the counters by value (rather than closing over
+// them) keeps them in registers inside the dispatch loop.
+func (v *VM) flushSeg(n, loads, stores int64) {
+	v.steps += n
+	v.Stats.Instrs += n
+	v.Stats.Loads += loads
+	v.Stats.Stores += stores
+}
+
 // rleave releases an invocation's arena frame and convention snapshot.
 func (v *VM) rleave(mc, moff, snapBase int) {
 	v.arena.release(mc, moff)
@@ -98,7 +117,7 @@ func (v *VM) rleave(mc, moff, snapBase int) {
 	}
 }
 
-// rbin evaluates a fused binary operation (bcConstBin's inner opcode
+// rbin evaluates a fused binary operation (rConstBin's inner opcode
 // space: every ir two-source ALU op including compares).
 func rbin(op ir.Op, x, y int64) int64 {
 	switch op {
@@ -176,7 +195,7 @@ func constOperands(form int32, bank []int64, a int32, k int64) (int64, int64) {
 
 // rexec runs one function invocation to completion.
 func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
-	c := v.rcode
+	c := v.code
 	fc := c.funcs[fi]
 	if depth > maxCallDepth {
 		return 0, fmt.Errorf("vm: call depth exceeded in %s", fc.name)

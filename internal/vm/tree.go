@@ -1,9 +1,9 @@
 package vm
 
-// tree.go is the legacy tree-walking interpreter: it chases *ir.Block
+// tree.go is the original tree-walking interpreter: it chases *ir.Block
 // pointers, re-tests overhead flags on every instruction, and counts
 // calls and edges through maps. It is retained as the differential
-// reference for the bytecode engine (exec.go); the two must agree
+// reference for the regcode engine (regexec.go); the two must agree
 // exactly on values, statistics, edge counts, and error reporting.
 
 import (

@@ -5,24 +5,21 @@
 // convention — a placement bug becomes a hard execution error, not a
 // silently wrong count.
 //
-// Three engines implement the same observable semantics:
+// Two engines implement the same observable semantics:
 //
-//   - EngineBytecode (the default) lowers each function once into a
-//     flat, pre-decoded instruction array — branch targets resolved to
-//     instruction indices, overhead classes precomputed, callees and
-//     profiled edges resolved to dense indices — and executes it in a
-//     tight dispatch loop with pooled, exactly-sized frames and dense
-//     counters (see bytecode.go, exec.go).
-//   - EngineRegcode lowers each function into register-transfer code:
-//     physical registers, virtuals, and frame slots share one flat
-//     per-invocation register bank so every operand access is a single
-//     slice index, superinstruction fusion covers whole loop-header
-//     shapes, step accounting is batched per straight-line quantum,
-//     and frames come from a chunked arena instead of sync.Pool (see
-//     regcode.go, regexec.go).
+//   - EngineRegcode (the default) lowers each function once, at New,
+//     into register-transfer code: physical registers, virtuals, and
+//     frame slots share one flat per-invocation register bank so every
+//     operand access is a single slice index, superinstruction fusion
+//     covers whole loop-header shapes, step accounting is batched per
+//     straight-line quantum, and frames come from a per-VM arena sized
+//     from the compiled program (see regcode.go, regexec.go). On the
+//     SPEC stand-in suite it runs 4–5x the tree interpreter's
+//     instruction throughput (BENCH_vm.json; the VM gate's floor is
+//     4.5x).
 //   - EngineTree is the original tree-walking interpreter over
 //     *ir.Block pointers (tree.go). It is kept as the differential
-//     reference; the parity tests prove all engines agree exactly on
+//     reference; the parity tests prove both engines agree exactly on
 //     values, statistics, edge profiles, and error reporting.
 package vm
 
@@ -121,43 +118,36 @@ const DefaultMaxSteps int64 = 1 << 28
 type Engine int
 
 const (
-	// EngineBytecode pre-decodes the program into flat instruction
-	// arrays and runs a tight dispatch loop. The default.
-	EngineBytecode Engine = iota
-	// EngineTree is the legacy tree-walking interpreter, kept as the
-	// differential reference for the compiled engines.
-	EngineTree
 	// EngineRegcode is the register-transfer engine: a unified
 	// register bank per invocation, loop-header superinstructions,
 	// quantum-batched step accounting, and arena-allocated frames.
-	EngineRegcode
+	// The zero value, so Config{} selects it.
+	EngineRegcode Engine = iota
+	// EngineTree is the tree-walking interpreter, kept as the
+	// differential reference for the compiled engine.
+	EngineTree
 )
 
-// String names the engine ("bytecode", "regcode", or "tree").
+// String names the engine ("regcode" or "tree").
 func (e Engine) String() string {
-	switch e {
-	case EngineTree:
+	if e == EngineTree {
 		return "tree"
-	case EngineRegcode:
-		return "regcode"
 	}
-	return "bytecode"
+	return "regcode"
 }
 
 // Engines lists every execution engine, for harnesses that sweep them.
-var Engines = []Engine{EngineBytecode, EngineRegcode, EngineTree}
+var Engines = []Engine{EngineRegcode, EngineTree}
 
 // ParseEngine maps an engine name back to the enum, for CLI flags.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "bytecode":
-		return EngineBytecode, nil
 	case "regcode":
 		return EngineRegcode, nil
 	case "tree":
 		return EngineTree, nil
 	}
-	return 0, fmt.Errorf("vm: unknown engine %q (want bytecode, regcode, or tree)", s)
+	return 0, fmt.Errorf("vm: unknown engine %q (want regcode or tree)", s)
 }
 
 // Config controls a VM run.
@@ -172,7 +162,7 @@ type Config struct {
 	MaxSteps int64
 	// CollectEdges enables per-edge execution counting.
 	CollectEdges bool
-	// Engine selects the execution engine (default EngineBytecode).
+	// Engine selects the execution engine (default EngineRegcode).
 	Engine Engine
 }
 
@@ -188,8 +178,7 @@ type VM struct {
 	// Compiled-engine state. The program is compiled once, at New;
 	// mutate the program after that and the VM keeps executing the
 	// shape it compiled — create a new VM instead.
-	code       *bcProgram
-	rcode      *rcProgram // regcode engine program
+	code       *rcProgram // regcode engine program
 	arena      rcArena    // regcode engine frame arena
 	callDense  []int64    // per-function call counts, flushed into Stats.Calls
 	edgeDense  []int64    // per-edge traversal counts, flushed into EdgeCount
@@ -228,11 +217,9 @@ func New(prog *ir.Program, cfg Config) *VM {
 		v.csFrom = cfg.Machine.CalleeSavedFrom
 		v.csTo = cfg.Machine.NumRegs
 	}
-	switch cfg.Engine {
-	case EngineBytecode:
-		v.code = compileProgram(prog)
-	case EngineRegcode:
-		v.rcode = compileRegProgram(prog, v.csTo)
+	if cfg.Engine != EngineTree {
+		v.code = compileRegProgram(prog, v.csTo)
+		v.arena.first = min(rcChunkWords, 4*v.code.maxBank)
 	}
 	v.Stats.Calls = make(map[string]int64)
 	if cfg.CollectEdges {
@@ -244,13 +231,10 @@ func New(prog *ir.Program, cfg Config) *VM {
 // Run executes the program's main function with the given arguments
 // and returns its result.
 func (v *VM) Run(args ...int64) (int64, error) {
-	switch v.cfg.Engine {
-	case EngineTree:
+	if v.cfg.Engine == EngineTree {
 		return v.runTree(args)
-	case EngineRegcode:
-		return v.runRegcode(args)
 	}
-	return v.runBytecode(args)
+	return v.runRegcode(args)
 }
 
 // usesHeap reports whether any instruction can address the flat heap.
@@ -270,7 +254,7 @@ func usesHeap(p *ir.Program) bool {
 // ErrStepLimit is returned (wrapped with the function and block where
 // execution stopped) when a run exceeds Config.MaxSteps.
 //
-// Halt accounting contract (all engines, pinned by TestStepLimitStats):
+// Halt accounting contract (both engines, pinned by TestStepLimitStats):
 // at a step-limit halt Stats.Instrs equals Config.MaxSteps exactly —
 // the instruction that would have exceeded the budget is not counted —
 // and EdgeCount (when CollectEdges is on) reflects every edge traversal
