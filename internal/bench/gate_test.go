@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -154,8 +157,9 @@ func TestGateVMRegcodeRatio(t *testing.T) {
 	if len(rec.PerBenchmark) != 2 || rec.PerBenchmark[0].Instrs != rec.PerBenchmark[1].Instrs {
 		t.Errorf("per-benchmark rows disagree: %+v", rec.PerBenchmark)
 	}
-	// Host speed decides the ratio itself; only the floor may fire on
-	// a self-comparison.
+	// A one-rep measurement's ratio depends on the test host, so only
+	// the floor may fire on its self-comparison; TestCommittedVMRecord
+	// holds the committed record itself to the floor.
 	for _, f := range CompareVM(rec, rec, 15) {
 		if !strings.Contains(f, "floor") {
 			t.Errorf("self-comparison produced finding: %s", f)
@@ -163,10 +167,46 @@ func TestGateVMRegcodeRatio(t *testing.T) {
 	}
 }
 
+// TestCommittedVMRecord: the committed BENCH_vm.json must pass its own
+// gate — a regcode and a tree row whose ratio is the recorded speedup,
+// at or above VMSpeedupFloor, with matching instruction counts — so the
+// record and the floor cannot drift apart.
+func TestCommittedVMRecord(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_vm.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec VMBench
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Engines) != 2 || rec.Engines[0].Engine != "regcode" || rec.Engines[1].Engine != "tree" {
+		t.Fatalf("engines = %+v, want regcode then tree", rec.Engines)
+	}
+	want := rec.Engines[0].InstrsPerSec / rec.Engines[1].InstrsPerSec
+	if math.Abs(rec.Speedup-want) > 1e-9*want {
+		t.Errorf("speedup = %v, want regcode over tree %v", rec.Speedup, want)
+	}
+	if rec.Speedup < VMSpeedupFloor {
+		t.Errorf("committed speedup %.2fx is below the %.1fx floor", rec.Speedup, VMSpeedupFloor)
+	}
+	if findings := CompareVM(&rec, &rec, 15); len(findings) != 0 {
+		t.Errorf("committed record fails its own gate: %v", findings)
+	}
+	if len(rec.PerBenchmark) != 2*len(rec.Benchmarks) {
+		t.Fatalf("%d per-benchmark rows for %d benchmarks", len(rec.PerBenchmark), len(rec.Benchmarks))
+	}
+	for i := 0; i < len(rec.PerBenchmark); i += 2 {
+		if a, b := rec.PerBenchmark[i], rec.PerBenchmark[i+1]; a.Benchmark != b.Benchmark || a.Instrs != b.Instrs {
+			t.Errorf("per-benchmark rows disagree: %+v vs %+v", a, b)
+		}
+	}
+}
+
 // TestGateVMRegcodeFloor: whatever the committed record says, a fresh
 // regcode-over-tree speedup below the absolute VMSpeedupFloor is a
 // finding — the engine exists to clear that bar. The CI self-test's
-// -inject 100 halves any plausible ratio (4.93x, the best recorded,
+// -inject 100 halves any plausible ratio (4.93x, the committed one,
 // becomes about 2.47x), so it trips.
 func TestGateVMRegcodeFloor(t *testing.T) {
 	hasFloor := func(findings []string) bool {
