@@ -33,31 +33,35 @@ func BenchmarkFigure5(b *testing.B) {
 			var r *bench.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = bench.Run(p)
+				r, err = bench.RunEntry(bench.EntryFor(p), bench.Options{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(r.Overhead[bench.Optimized]), "optimized")
-			b.ReportMetric(float64(r.Overhead[bench.Shrinkwrap]), "shrinkwrap")
-			b.ReportMetric(float64(r.Overhead[bench.Baseline]), "baseline")
+			b.ReportMetric(float64(r.Overhead[HierarchicalJump]), "optimized")
+			b.ReportMetric(float64(r.Overhead[Shrinkwrap]), "shrinkwrap")
+			b.ReportMetric(float64(r.Overhead[EntryExit]), "baseline")
 		})
 	}
 }
 
 func BenchmarkTable1(b *testing.B) {
+	var entries []bench.Entry
+	for _, p := range workload.SPECInt2000() {
+		entries = append(entries, bench.EntryFor(p))
+	}
 	var results []*bench.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		results, err = bench.RunAll(workload.SPECInt2000())
+		results, err = bench.RunEntries(entries, bench.Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	var so, ss float64
 	for _, r := range results {
-		so += r.Ratio(bench.Optimized)
-		ss += r.Ratio(bench.Shrinkwrap)
+		so += r.Ratio(HierarchicalJump)
+		ss += r.Ratio(Shrinkwrap)
 	}
 	n := float64(len(results))
 	b.ReportMetric(so/n, "opt-pct") // paper: 84.8
@@ -70,13 +74,13 @@ func BenchmarkTable2(b *testing.B) {
 			var r *bench.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = bench.Run(p)
+				r, err = bench.RunEntry(bench.EntryFor(p), bench.Options{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
-			sw := float64(r.PlacementTime[bench.Shrinkwrap].Nanoseconds())
-			opt := float64(r.PlacementTime[bench.Optimized].Nanoseconds())
+			sw := float64(r.PlacementTime[Shrinkwrap].Nanoseconds())
+			opt := float64(r.PlacementTime[HierarchicalJump].Nanoseconds())
 			b.ReportMetric(sw, "sw-ns")
 			b.ReportMetric(opt, "opt-ns")
 			if sw > 0 {

@@ -63,7 +63,7 @@ func allocatedPrograms(t *testing.T) map[string]*ir.Program {
 // every analysis is rebuilt from scratch by Compute, and validation
 // recomputes its own liveness.
 func placeUncached(f *ir.Func, s strategy.Strategy) ([]*core.Set, error) {
-	sets, err := strategy.Compute(f, s)
+	sets, err := strategy.Compute(f, s, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func TestCachedPlacementByteIdentity(t *testing.T) {
 			cache := analysis.NewCache()
 			for _, f := range strategy.NeedsPlacement(cached) {
 				info := cache.For(f)
-				csets, err := strategy.ComputeCached(f, s, info)
+				csets, err := strategy.Compute(f, s, info, nil)
 				if err != nil {
 					t.Fatalf("%s/%v/%s: cached compute: %v", name, s, f.Name, err)
 				}
@@ -107,7 +107,7 @@ func TestCachedPlacementByteIdentity(t *testing.T) {
 					t.Fatalf("%s/%v/%s: cached sets differ from uncached:\n%s\nwant:\n%s",
 						name, s, f.Name, got, want)
 				}
-				if err := strategy.PlaceCached(f, s, info); err != nil {
+				if _, err := strategy.Place(f, s, info, nil); err != nil {
 					t.Fatalf("%s/%v/%s: cached place: %v", name, s, f.Name, err)
 				}
 			}
@@ -135,7 +135,7 @@ func TestConcurrentCachedPlacementIdentity(t *testing.T) {
 		parallel := base.Clone()
 		serial := base.Clone()
 		cache := analysis.NewCache()
-		if err := strategy.PlaceProgramCached(parallel, s, 8, cache); err != nil {
+		if err := strategy.PlaceProgram(parallel, s, nil, 8, cache); err != nil {
 			t.Fatalf("%v: parallel: %v", s, err)
 		}
 		for _, f := range strategy.NeedsPlacement(serial) {
@@ -146,7 +146,7 @@ func TestConcurrentCachedPlacementIdentity(t *testing.T) {
 		if irtext.Print(parallel) != irtext.Print(serial) {
 			t.Errorf("%v: parallel cached placement differs from serial uncached", s)
 		}
-		// PlaceCached invalidated each Info after Apply: the cache must
+		// PlaceProgram patched each Info after Apply: the cache must
 		// now describe the placed (mutated) functions, not the stale
 		// pre-placement shape.
 		for _, f := range strategy.NeedsPlacement(parallel) {

@@ -62,7 +62,6 @@ func main() {
 	irgenN := flag.Int("irgen", 0, "append this many random irgen scenario families to the suite")
 	irgenSeed := flag.Uint64("irgen-seed", 1, "first seed of the appended irgen families")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measurement run to this file")
-	unshared := flag.Bool("unshared", false, "disable the shared per-function analysis cache (A/B reference for Table 2 placement times)")
 	jsonOut := flag.String("json", "", "instead of the tables: benchmark both VM engines on the placed suite and write the JSON record here (e.g. BENCH_vm.json); with -machines, write the sweep record instead (e.g. BENCH_machines.json)")
 	reps := flag.Int("reps", 3, "with -json: VM executions per benchmark per engine")
 	machines := flag.String("machines", "", "sweep these machine cost presets (comma-separated, or \"all\") and print per-machine tables plus the crossover report")
@@ -295,7 +294,7 @@ func main() {
 		return
 	}
 
-	results, err := bench.RunEntries(suite(), bench.Options{Align: *align, Parallelism: *jobs, Unshared: *unshared, MachineAlloc: *allocMachine})
+	results, err := bench.RunEntries(suite(), bench.Options{Align: *align, Parallelism: *jobs, MachineAlloc: *allocMachine})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
 		os.Exit(1)

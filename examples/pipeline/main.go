@@ -22,7 +22,7 @@ func main() {
 	fmt.Printf("traits: cold calls %.0f%%, live-across %.0f%%, outer loop %.0f%%\n\n",
 		params.ColdCallProb*100, params.LiveAcrossProb*100, params.OuterLoopProb*100)
 
-	r, err := bench.Run(params)
+	r, err := bench.RunEntry(bench.EntryFor(params), bench.Options{Parallelism: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("%-12s %10s %9s %14s\n", "strategy", "overhead", "ratio", "placement time")
 	for _, s := range bench.Strategies {
 		fmt.Printf("%-12s %10d %8.1f%% %14v\n",
-			s, r.Overhead[s], r.Ratio(s), r.PlacementTime[s])
+			bench.Label(s), r.Overhead[s], r.Ratio(s), r.PlacementTime[s])
 	}
 	fmt.Println("\n(the paper's crafty row: optimized 44.0%, shrink-wrap 93.3%)")
 }

@@ -227,7 +227,7 @@ func checkDeltaIdentity(t *testing.T, tag string, f *ir.Func, s strategy.Strateg
 	if len(f.UsedCalleeSaved) == 0 {
 		return 0
 	}
-	sets, err := strategy.Compute(f, s)
+	sets, err := strategy.Compute(f, s, nil, nil)
 	if err != nil {
 		t.Fatalf("%s: compute %v: %v", tag, s, err)
 	}
@@ -407,10 +407,10 @@ func TestDeltaPlacementMatchesUnshared(t *testing.T) {
 			continue
 		}
 		cache := analysis.NewCache()
-		if err := strategy.PlaceProgramCached(a, strategy.HierarchicalJump, 4, cache); err != nil {
+		if err := strategy.PlaceProgram(a, strategy.HierarchicalJump, nil, 4, cache); err != nil {
 			t.Fatalf("seed %d: cached placement: %v", seed, err)
 		}
-		if err := strategy.PlaceProgram(b, strategy.HierarchicalJump, 1); err != nil {
+		if err := strategy.PlaceProgram(b, strategy.HierarchicalJump, nil, 1, nil); err != nil {
 			t.Fatalf("seed %d: unshared placement: %v", seed, err)
 		}
 		if irtext.Print(a) != irtext.Print(b) {
@@ -517,7 +517,7 @@ func TestPSTBuilderReuseAcrossInvalidate(t *testing.T) {
 	}
 }
 
-// TestCacheStats: the shared-cache hit/miss counters that spilltune
+// TestCacheStats: the shared-cache hit/miss counters that spillfuzz
 // reports.
 func TestCacheStats(t *testing.T) {
 	f := demoFunc(t)

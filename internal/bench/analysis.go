@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/machine"
-	"repro/internal/profile"
-	"repro/internal/regalloc"
 	"repro/internal/workload"
 )
 
@@ -78,12 +76,9 @@ func BenchAnalysis(suite []workload.BenchParams, reps int) (*AnalysisBench, erro
 	for _, p := range suite {
 		rec := AnalysisRecord{Benchmark: p.Name}
 		for rep := 0; rep < reps; rep++ {
-			prog := workload.Generate(p)
-			if _, err := profile.Collect(prog, 0); err != nil {
-				return nil, fmt.Errorf("benchanalysis %s: profile: %w", p.Name, err)
-			}
-			if _, err := regalloc.AllocateProgramParallel(prog, mach, 0); err != nil {
-				return nil, fmt.Errorf("benchanalysis %s: regalloc: %w", p.Name, err)
+			prog, _, err := prepare(EntryFor(p), mach, Options{}, false)
+			if err != nil {
+				return nil, fmt.Errorf("benchanalysis: %w", err)
 			}
 			coldNs, sharedNs, incNs, rebuilds, funcs, err := measureReplacement(prog)
 			if err != nil {

@@ -25,57 +25,36 @@ import (
 	"repro/internal/workload"
 )
 
-// Strategy names a callee-saved spill placement technique.
-type Strategy int
-
-const (
-	// Baseline saves at procedure entry and restores at each exit.
-	Baseline Strategy = iota
-	// Shrinkwrap is Chow's original technique.
-	Shrinkwrap
-	// Optimized is the paper's hierarchical algorithm with the
-	// jump-edge cost model (the configuration evaluated in the paper).
-	Optimized
-	// OptimizedExec is the hierarchical algorithm under the execution
-	// count cost model, realized with jump blocks. The paper could not
-	// evaluate this configuration ("spill instructions placed on jump
-	// edges have no physical memory allocated to them" in GCC); this
-	// reproduction can, so it is included as an ablation of the cost
-	// model choice.
-	OptimizedExec
-	numStrategies
-)
-
-// Strategies lists all strategies in display order.
-var Strategies = []Strategy{Baseline, Shrinkwrap, Optimized, OptimizedExec}
-
-// String names the strategy as in the paper's figures.
-func (s Strategy) String() string {
-	switch s {
-	case Baseline:
-		return "Baseline"
-	case Shrinkwrap:
-		return "Shrinkwrap"
-	case Optimized:
-		return "Optimized"
-	case OptimizedExec:
-		return "OptimizedExec"
-	}
-	return "?"
+// Strategies lists the evaluated strategies in figure order. Winners
+// break ties in this order, so the simpler technique wins a tie.
+var Strategies = []strategy.Strategy{
+	strategy.EntryExit,
+	strategy.Shrinkwrap,
+	strategy.HierarchicalJump,
+	strategy.HierarchicalExec,
 }
 
-// technique maps the figure-label enum to the shared placement
-// dispatch in internal/strategy.
-func (s Strategy) technique() strategy.Strategy {
+// Label names an evaluated strategy as the paper's figures and the
+// committed records do. Baseline is entry/exit placement, Shrinkwrap
+// Chow's technique, and Optimized the hierarchical algorithm under the
+// jump edge model, the configuration the paper evaluates.
+// OptimizedExec is the hierarchical algorithm under the execution
+// count model, realized with jump blocks. The paper could not
+// evaluate it ("spill instructions placed on jump edges have no
+// physical memory allocated to them" in GCC); this reproduction can,
+// so it is included as an ablation of the cost model choice.
+func Label(s strategy.Strategy) string {
 	switch s {
-	case Shrinkwrap:
-		return strategy.Shrinkwrap
-	case Optimized:
-		return strategy.HierarchicalJump
-	case OptimizedExec:
-		return strategy.HierarchicalExec
+	case strategy.EntryExit:
+		return "Baseline"
+	case strategy.Shrinkwrap:
+		return "Shrinkwrap"
+	case strategy.HierarchicalJump:
+		return "Optimized"
+	case strategy.HierarchicalExec:
+		return "OptimizedExec"
 	}
-	return strategy.EntryExit
+	return s.String()
 }
 
 // Result holds one benchmark's measurements.
@@ -84,15 +63,15 @@ type Result struct {
 	// Overhead is the measured dynamic spill overhead per strategy:
 	// every spill load/store, callee-saved save/restore, and
 	// jump-block jump executed.
-	Overhead [numStrategies]int64
+	Overhead [strategy.Count]int64
 	// PlacementTime is the incremental compile time each strategy
 	// added (Baseline's is the reference and is ~0).
-	PlacementTime [numStrategies]time.Duration
+	PlacementTime [strategy.Count]time.Duration
 	// ReturnValue is the program result, identical across strategies.
 	ReturnValue int64
 	// Stats holds the full VM execution counters per strategy
 	// (deep-copied, so concurrent runs never share a Calls map).
-	Stats [numStrategies]vm.Stats
+	Stats [strategy.Count]vm.Stats
 	// Procedures and Instrs describe the allocated program.
 	Procedures int
 	Instrs     int
@@ -111,11 +90,11 @@ type Result struct {
 }
 
 // Ratio returns overhead(s) / overhead(Baseline) as a percentage.
-func (r *Result) Ratio(s Strategy) float64 {
-	if r.Overhead[Baseline] == 0 {
+func (r *Result) Ratio(s strategy.Strategy) float64 {
+	if r.Overhead[strategy.EntryExit] == 0 {
 		return 100
 	}
-	return 100 * float64(r.Overhead[s]) / float64(r.Overhead[Baseline])
+	return 100 * float64(r.Overhead[s]) / float64(r.Overhead[strategy.EntryExit])
 }
 
 // Options tweaks the pipeline.
@@ -126,7 +105,7 @@ type Options struct {
 	// model more accurate.
 	Align bool
 	// Parallelism bounds the worker pools of the concurrent stages:
-	// benchmark sharding in RunAllWithOptions, the per-strategy VM
+	// benchmark sharding in RunEntries and RunSweep, the VM
 	// measurement fan-out, and per-function allocation and placement.
 	// Only one level fans out at a time (benchmarks when there are
 	// several, strategies/functions otherwise), so pools never
@@ -137,18 +116,6 @@ type Options struct {
 	// placement of the same benchmark, but concurrent benchmarks can
 	// still contend — for paper-grade Table 2 timings use 1.
 	Parallelism int
-	// Unshared disables the shared analysis cache: every strategy
-	// rebuilds liveness, dominators, loops, PST, and the shrink-wrap
-	// seed from scratch, reproducing the pre-sharing pipeline. Sets and
-	// measured counts are identical either way (the identity tests
-	// prove it); only PlacementTime changes. Kept as the A/B reference
-	// for the analysis-layer speedup (spillbench -unshared).
-	Unshared bool
-	// Cache, when non-nil, is used as the shared analysis layer instead
-	// of a fresh per-entry cache, so a caller running many entries (for
-	// example spilltune's per-trial loop) can accumulate the sharing
-	// counters across runs in one place. Ignored when Unshared is set.
-	Cache *analysis.Cache
 	// MachineAlloc prices the allocator's spill choices with the
 	// machine's cost surface (regalloc.Options.MachineCosts). In
 	// RunSweep it requires a single-machine sweep, because the
@@ -189,88 +156,32 @@ func GeneratedSuite(base uint64, n int) []Entry {
 	return out
 }
 
-// Run executes the full pipeline for one benchmark description,
-// serially (the zero-value Options would mean GOMAXPROCS).
-func Run(p workload.BenchParams) (*Result, error) {
-	return RunWithOptions(p, Options{Parallelism: 1})
-}
-
-// RunWithOptions executes the pipeline with tweaks.
-func RunWithOptions(p workload.BenchParams, opts Options) (*Result, error) {
-	return RunEntry(EntryFor(p), opts)
-}
-
-// RunEntry executes the pipeline for one entry: generate, profile,
-// allocate once, place every strategy on identical clones, execute
-// each clone under convention checking.
+// RunEntry runs one entry through the evaluation loop on the classic
+// preset, the paper's unit-cost machine, and times re-placement after
+// an edit: Figure 5 and Tables 1 and 2 for one benchmark.
 func RunEntry(e Entry, opts Options) (*Result, error) {
-	prog := e.Gen()
-	mach := machine.PARISC()
-
-	// Profile by execution, then check flow conservation.
-	if _, err := profile.Collect(prog, 0); err != nil {
-		return nil, fmt.Errorf("bench %s: profile: %w", e.Name, err)
-	}
-	if err := profile.Consistent(prog); err != nil {
-		return nil, fmt.Errorf("bench %s: %w", e.Name, err)
-	}
-
-	// One register allocation shared by all strategies; functions are
-	// independent, so allocation fans out per function.
-	allocRes, err := regalloc.AllocateProgramOpts(prog, mach, opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc})
+	ev, err := evaluate(e, machine.Presets()[:1], opts)
 	if err != nil {
-		return nil, fmt.Errorf("bench %s: regalloc: %w", e.Name, err)
+		return nil, err
 	}
-
-	if opts.Align {
-		for _, f := range prog.FuncsInOrder() {
-			layout.Align(f)
-		}
+	res := &Result{
+		Name:         e.Name,
+		ReturnValue:  ev.ReturnValue,
+		Procedures:   len(ev.base.Funcs),
+		SpilledVregs: ev.spilled,
 	}
-
-	res := &Result{Name: e.Name, Procedures: len(prog.Funcs)}
-	for _, f := range prog.FuncsInOrder() {
+	for _, f := range ev.base.FuncsInOrder() {
 		res.Instrs += f.Instrs()
 	}
-	for _, ar := range allocRes {
-		res.SpilledVregs += len(ar.Spilled)
-	}
-
-	// Placement is the timed stage (Table 2), so it runs serially
-	// across strategies — two strategies' placements of the same
-	// benchmark never compete for CPUs and pollute each other's
-	// timings. Each strategy's placement may still fan out per
-	// function. All strategies compute their sets on the shared
-	// allocated program through one analysis cache — liveness,
-	// dominators, loops, PST, and the shrink-wrap seed are built once
-	// per function, by whichever strategy first needs them — and the
-	// sets are then translated onto a per-strategy clone for the
-	// mutation. Placement is cheap; the VM runs below dominate.
-	clones := make([]*ir.Program, numStrategies)
-	var cache *analysis.Cache // nil (no sharing) when opts.Unshared
-	if !opts.Unshared {
-		if cache = opts.Cache; cache == nil {
-			cache = analysis.NewCache()
-		}
-	}
-	funcs := strategy.NeedsPlacement(prog)
 	for _, s := range Strategies {
-		sets, elapsed, err := computeSets(funcs, s, opts.Parallelism, cache, nil)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: %s: %w", e.Name, s, err)
-		}
-		res.PlacementTime[s] = elapsed
-		clone := prog.Clone()
-		if err := applySets(clone, funcs, sets, opts.Parallelism); err != nil {
-			return nil, fmt.Errorf("bench %s: %s: %w", e.Name, s, err)
-		}
-		clones[s] = clone
+		c := &ev.Cells[0][s]
+		res.Overhead[s] = c.Stats.Overhead()
+		res.Stats[s] = c.Stats
+		res.PlacementTime[s] = c.PlacementTime
 	}
-
-	// Re-placement timing (Table 2's incremental columns) runs on its
-	// own clone, serially, after the timed placements above and before
-	// the VM fan-out, so it never contends with either.
-	coldNs, sharedNs, incNs, rebuilds, _, err := measureReplacement(prog.Clone())
+	// Re-placement timing (Table 2's incremental columns) runs serially
+	// after the evaluation, on the base the placements left unplaced.
+	coldNs, sharedNs, incNs, rebuilds, _, err := measureReplacement(ev.base)
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: re-placement: %w", e.Name, err)
 	}
@@ -278,35 +189,201 @@ func RunEntry(e Entry, opts Options) (*Result, error) {
 	res.ReplaceShared = time.Duration(sharedNs)
 	res.ReplaceIncremental = time.Duration(incNs)
 	res.ReplaceRebuilds = rebuilds
+	return res, nil
+}
 
-	// Every strategy executes on its own clone in its own VM, so the
-	// four measurement runs fan out across the pool. Each slot is
-	// written by exactly one worker; the cross-strategy return value
-	// check runs after the barrier, in strategy order, so failures are
-	// reported exactly as the serial loop would report them.
-	var vals [numStrategies]int64
-	err = par.Do(len(Strategies), opts.Parallelism, func(i int) error {
-		s := Strategies[i]
-		v := vm.New(clones[s], vm.Config{Machine: mach})
+// RunEntries runs every entry through RunEntry on a bounded pool of
+// workers (Options.Parallelism; <= 0 means GOMAXPROCS). Workers pull
+// entries from a shared queue — so one heavyweight benchmark (gcc)
+// does not serialize a whole static shard behind it — and write
+// results back by position, so the result order and every measured
+// count in it are identical to the serial path; only wall-clock time
+// changes. On error the lowest-positioned failure is returned.
+func RunEntries(entries []Entry, opts Options) ([]*Result, error) {
+	out := make([]*Result, len(entries))
+	err := eachEntry(len(entries), opts, func(i int, inner Options) (err error) {
+		out[i], err = RunEntry(entries[i], inner)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// eachEntry runs fn for n entries on the Options.Parallelism pool.
+// Only one level fans out at a time: when several entries run
+// concurrently, each runs its inner stages serially; with a single
+// entry (or parallelism 1) the inner stages get the pool instead.
+func eachEntry(n int, opts Options, fn func(i int, inner Options) error) error {
+	inner := opts
+	if par.Limit(opts.Parallelism, n) > 1 {
+		inner.Parallelism = 1
+	}
+	return par.Do(n, opts.Parallelism, func(i int) error { return fn(i, inner) })
+}
+
+// prepare generates e's program, weighs its edges — by a profiling run
+// with argument 0, or with d's static estimate when estimate is set —
+// register-allocates it once on d, and aligns it when Options.Align is
+// set. It returns the program and its number of spilled virtual
+// registers. Every harness measurement starts here.
+func prepare(e Entry, d *machine.Desc, opts Options, estimate bool) (*ir.Program, int, error) {
+	prog := e.Gen()
+	if estimate {
+		profile.EstimateProgramMachine(prog, d, nil)
+	} else {
+		if _, err := profile.Collect(prog, 0); err != nil {
+			return nil, 0, fmt.Errorf("bench %s: profile: %w", e.Name, err)
+		}
+		if err := profile.Consistent(prog); err != nil {
+			return nil, 0, fmt.Errorf("bench %s: %w", e.Name, err)
+		}
+	}
+	// Functions are independent, so allocation fans out per function.
+	alloc, err := regalloc.AllocateProgramOpts(prog, d, opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc})
+	if err != nil {
+		return nil, 0, fmt.Errorf("bench %s: regalloc: %w", e.Name, err)
+	}
+	if opts.Align {
+		for _, f := range prog.FuncsInOrder() {
+			layout.Align(f)
+		}
+	}
+	spilled := 0
+	for _, r := range alloc {
+		spilled += len(r.Spilled)
+	}
+	return prog, spilled, nil
+}
+
+// evaluation is one benchmark carried through the evaluation loop.
+type evaluation struct {
+	*SweepBench
+	base    *ir.Program     // the prepared program, left unplaced
+	spilled int             // allocator-spilled virtual registers
+	builds  analysis.Counts // the shared analysis cache's build counters
+	funcs   int             // functions placement visited
+}
+
+// evaluate is the evaluation loop every table and record shares:
+// prepare once, compute every (machine, strategy) placement's sets on
+// the shared base through one analysis cache, translate them onto a
+// clone each, and run every clone under convention checking. All
+// machines must share one register file: the allocation and the
+// convention checker use machines[0].
+func evaluate(e Entry, machines []*machine.Desc, opts Options) (*evaluation, error) {
+	prog, spilled, err := prepare(e, machines[0], opts, false)
+	if err != nil {
+		return nil, err
+	}
+	res := &SweepBench{Name: e.Name, Cells: make([][strategy.Count]SweepCell, len(machines))}
+	cache := analysis.NewCache()
+	funcs := strategy.NeedsPlacement(prog)
+
+	// Placement is the timed stage (Table 2), so it stays serial across
+	// (machine, strategy) pairs — two placements of the same benchmark
+	// never compete for CPUs and pollute each other's timings; each may
+	// still fan out per function. Liveness, dominators, loops, the PST
+	// and the shrink-wrap seed are built once per function, by
+	// whichever placement first needs them. A strategy whose placement
+	// cannot depend on the machine computes, applies, and executes
+	// once — its cells for the other machines reprice the one
+	// measurement (pricing happens after the fact, on the class
+	// counts), with the placement time charged to the first machine
+	// and zero for the repriced ones.
+	type run struct {
+		mi    int // machine that owns the VM execution
+		s     strategy.Strategy
+		clone *ir.Program
+		all   bool // result is repriced for every machine
+	}
+	var runs []run
+	for mi, d := range machines {
+		for _, s := range Strategies {
+			dependent := machineDependent(s, machines)
+			if mi > 0 && !dependent {
+				continue
+			}
+			sets, elapsed, err := computeSets(funcs, s, opts.Parallelism, cache, d)
+			if err != nil {
+				return nil, fmt.Errorf("bench %s: %s@%s: %w", e.Name, Label(s), d.Name, err)
+			}
+			res.Cells[mi][s].PlacementTime = elapsed
+			// The modeled cost prices the same sets with each machine's
+			// jump-edge model, so it is filled for every machine the
+			// placement serves.
+			for pm, pd := range machines {
+				if pm != mi && dependent {
+					continue
+				}
+				model := core.MachineModel{Desc: pd, ChargeJumps: true}
+				for _, fs := range sets {
+					res.Cells[pm][s].Modeled += core.TotalCost(model, fs)
+				}
+			}
+			clone := prog.Clone()
+			if err := applySets(clone, funcs, sets, opts.Parallelism); err != nil {
+				return nil, fmt.Errorf("bench %s: %s@%s: %w", e.Name, Label(s), d.Name, err)
+			}
+			runs = append(runs, run{mi, s, clone, !dependent})
+		}
+	}
+
+	// Measurement runs are independent (one clone, one VM each) and
+	// fan out across the pool. Each cell is written by exactly one
+	// worker; the cross-run return value check runs after the barrier,
+	// in run order, so failures are reported as the serial loop would.
+	vals := make([]int64, len(runs))
+	err = par.Do(len(runs), opts.Parallelism, func(i int) error {
+		r := runs[i]
+		v := vm.New(r.clone, vm.Config{Machine: machines[0]})
 		val, err := v.Run(0)
 		if err != nil {
-			return fmt.Errorf("bench %s: %s run: %w", e.Name, s, err)
+			return fmt.Errorf("bench %s: %s@%s run: %w", e.Name, Label(r.s), machines[r.mi].Name, err)
 		}
-		vals[s] = val
-		res.Overhead[s] = v.Stats.Overhead()
-		res.Stats[s] = v.Stats.Snapshot()
+		vals[i] = val
+		st := v.Stats.Snapshot()
+		for pm, pd := range machines {
+			if pm == r.mi || r.all {
+				res.Cells[pm][r.s].Stats = st
+				res.Cells[pm][r.s].WeightedOverhead = st.WeightedOverhead(pd.Costs)
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.ReturnValue = vals[Baseline]
-	for _, s := range Strategies {
-		if vals[s] != res.ReturnValue {
-			return nil, fmt.Errorf("bench %s: %s computed %d, want %d", e.Name, s, vals[s], res.ReturnValue)
+	res.ReturnValue = vals[0]
+	for i, v := range vals {
+		if v != res.ReturnValue {
+			return nil, fmt.Errorf("bench %s: %s@%s computed %d, want %d",
+				e.Name, Label(runs[i].s), machines[runs[i].mi].Name, v, res.ReturnValue)
 		}
 	}
-	return res, nil
+	return &evaluation{res, prog, spilled, cache.Counts(), len(funcs)}, nil
+}
+
+// machineDependent reports whether the strategy's placement can differ
+// across the swept machines. The hierarchical strategies optimize the
+// machine's cost model; Chow's shrink-wrapping reads only the
+// machine's jump-charging verdict, so it is machine-dependent only
+// when the swept machines disagree on it; entry/exit placement never
+// consults a machine.
+func machineDependent(s strategy.Strategy, machines []*machine.Desc) bool {
+	if s.IsHierarchical() {
+		return true
+	}
+	if s == strategy.Shrinkwrap {
+		first := machines[0].Costs.JumpCost() > 0
+		for _, d := range machines[1:] {
+			if (d.Costs.JumpCost() > 0) != first {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // computeSets computes and validates one strategy's placement for
@@ -318,7 +395,7 @@ func RunEntry(e Entry, opts Options) (*Result, error) {
 // serial accounting. Analyses shared through cache are charged to the
 // first strategy that builds them, so the timing column keeps its
 // incremental-compile-time meaning under sharing.
-func computeSets(funcs []*ir.Func, s Strategy, parallelism int, cache *analysis.Cache, d *machine.Desc) ([][]*core.Set, time.Duration, error) {
+func computeSets(funcs []*ir.Func, s strategy.Strategy, parallelism int, cache *analysis.Cache, d *machine.Desc) ([][]*core.Set, time.Duration, error) {
 	sets := make([][]*core.Set, len(funcs))
 	var mu sync.Mutex
 	var elapsed time.Duration
@@ -326,7 +403,7 @@ func computeSets(funcs []*ir.Func, s Strategy, parallelism int, cache *analysis.
 		f := funcs[i]
 		info := cache.For(f)
 		start := time.Now()
-		fs, err := strategy.ComputeCachedFor(f, s.technique(), info, d)
+		fs, err := strategy.Compute(f, s, info, d)
 		if err != nil {
 			return err
 		}
@@ -365,7 +442,7 @@ func computeSets(funcs []*ir.Func, s Strategy, parallelism int, cache *analysis.
 func measureReplacement(prog *ir.Program) (coldNs, sharedNs, incNs int64, rebuilds, funcs int, err error) {
 	for _, f := range strategy.NeedsPlacement(prog) {
 		info := analysis.For(f)
-		sets, err := strategy.ComputeCached(f, strategy.HierarchicalJump, info)
+		sets, err := strategy.Compute(f, strategy.HierarchicalJump, info, nil)
 		if err != nil {
 			return 0, 0, 0, 0, 0, fmt.Errorf("%s: %w", f.Name, err)
 		}
@@ -378,7 +455,7 @@ func measureReplacement(prog *ir.Program) (coldNs, sharedNs, incNs int64, rebuil
 		before := info.Counts()
 		start := time.Now()
 		info.ApplyDelta(delta)
-		if _, err := strategy.ComputeCached(f, strategy.HierarchicalJump, info); err != nil {
+		if _, err := strategy.Compute(f, strategy.HierarchicalJump, info, nil); err != nil {
 			return 0, 0, 0, 0, 0, fmt.Errorf("%s: incremental: %w", f.Name, err)
 		}
 		incNs += time.Since(start).Nanoseconds()
@@ -389,40 +466,18 @@ func measureReplacement(prog *ir.Program) (coldNs, sharedNs, incNs int64, rebuil
 		}
 
 		start = time.Now()
-		if _, err := strategy.ComputeCached(f, strategy.HierarchicalJump, info); err != nil {
+		if _, err := strategy.Compute(f, strategy.HierarchicalJump, info, nil); err != nil {
 			return 0, 0, 0, 0, 0, fmt.Errorf("%s: shared: %w", f.Name, err)
 		}
 		sharedNs += time.Since(start).Nanoseconds()
 
 		start = time.Now()
-		if _, err := strategy.ComputeCached(f, strategy.HierarchicalJump, analysis.For(f)); err != nil {
+		if _, err := strategy.Compute(f, strategy.HierarchicalJump, analysis.For(f), nil); err != nil {
 			return 0, 0, 0, 0, 0, fmt.Errorf("%s: cold: %w", f.Name, err)
 		}
 		coldNs += time.Since(start).Nanoseconds()
 	}
 	return coldNs, sharedNs, incNs, rebuilds, funcs, nil
-}
-
-// place computes, validates, and applies one strategy's placement to
-// every procedure of prog in place, returning the compute time. The
-// consistency tests use it to place a single program without the
-// per-strategy clone-and-translate dance of RunEntry.
-func place(prog *ir.Program, s Strategy, parallelism int) (time.Duration, error) {
-	funcs := strategy.NeedsPlacement(prog)
-	sets, elapsed, err := computeSets(funcs, s, parallelism, analysis.NewCache(), nil)
-	if err != nil {
-		return 0, err
-	}
-	err = par.Do(len(funcs), parallelism, func(i int) error {
-		if err := core.Apply(funcs[i], sets[i]); err != nil {
-			return fmt.Errorf("%s: %w", funcs[i].Name, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return elapsed, nil
 }
 
 // applySets translates the sets computed on the shared base onto the
@@ -440,51 +495,4 @@ func applySets(clone *ir.Program, funcs []*ir.Func, sets [][]*core.Set, parallel
 		}
 		return nil
 	})
-}
-
-// RunAll runs every benchmark in the suite serially. RunAllWithOptions
-// is the sharded version; both produce identical results.
-func RunAll(suite []workload.BenchParams) ([]*Result, error) {
-	return RunAllWithOptions(suite, Options{Parallelism: 1})
-}
-
-// RunAllWithOptions shards the suite across a bounded pool of workers
-// (Options.Parallelism; <= 0 means GOMAXPROCS). Workers pull
-// benchmarks from a shared queue — so one heavyweight benchmark (gcc)
-// does not serialize a whole static shard behind it — and write
-// results back by suite position, so the result order and every
-// measured count in it are byte-for-byte identical to the serial
-// path; only wall-clock time changes. On error the lowest-positioned
-// failure is returned, as in the serial loop. When several benchmarks
-// run concurrently, each runs its inner stages serially; with a
-// single benchmark (or parallelism 1) the inner stages get the pool
-// instead.
-func RunAllWithOptions(suite []workload.BenchParams, opts Options) ([]*Result, error) {
-	entries := make([]Entry, len(suite))
-	for i, p := range suite {
-		entries[i] = EntryFor(p)
-	}
-	return RunEntries(entries, opts)
-}
-
-// RunEntries is RunAllWithOptions over arbitrary entries, e.g. a
-// mixed suite of SPEC stand-ins and irgen scenario families.
-func RunEntries(entries []Entry, opts Options) ([]*Result, error) {
-	inner := opts
-	if par.Limit(opts.Parallelism, len(entries)) > 1 {
-		inner.Parallelism = 1
-	}
-	out := make([]*Result, len(entries))
-	err := par.Do(len(entries), opts.Parallelism, func(i int) error {
-		r, err := RunEntry(entries[i], inner)
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -139,14 +139,14 @@ func RunCrossover(entries []Entry, machines []*machine.Desc, opts Options) (*Cro
 			ubest, mbest := u.Winner(mi), m.Winner(0)
 			for _, s := range Strategies {
 				row.Strategies = append(row.Strategies, CrossoverStrategyCell{
-					Strategy: s.String(),
+					Strategy: Label(s),
 					Uniform:  u.Cells[mi][s].WeightedOverhead,
 					Machine:  m.Cells[0][s].WeightedOverhead,
 				})
 			}
-			row.UniformBest = ubest.String()
+			row.UniformBest = Label(ubest)
 			row.UniformOverhead = u.Cells[mi][ubest].WeightedOverhead
-			row.MachineBest = mbest.String()
+			row.MachineBest = Label(mbest)
 			row.MachineOverhead = m.Cells[0][mbest].WeightedOverhead
 			row.WinnerAlloc, row.WinnerStrategy = crossoverWinner(&row)
 			b.Presets = append(b.Presets, row)

@@ -9,6 +9,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 )
 
 // VMSpeedupFloor is the absolute regcode-over-tree throughput ratio
@@ -96,7 +97,7 @@ func findEngine(b *VMBench, name string) *EngineBench {
 // findings too.
 func CompareSweep(committed, fresh *SweepRecord, thresholdPct float64) []string {
 	var findings []string
-	if !sameSuite(committed, fresh) {
+	if committed.Functions != fresh.Functions || !slices.Equal(committed.Benchmarks, fresh.Benchmarks) {
 		findings = append(findings, fmt.Sprintf(
 			"machines: committed record covers suite %v (%d functions), fresh sweep %v (%d functions) — regenerate BENCH_machines.json with the standing suite",
 			committed.Benchmarks, committed.Functions, fresh.Benchmarks, fresh.Functions))
@@ -161,21 +162,6 @@ func CompareSweep(committed, fresh *SweepRecord, thresholdPct float64) []string 
 		}
 	}
 	return findings
-}
-
-// sameSuite reports whether two sweep records cover the same benchmark
-// list and function population — the precondition for comparing their
-// totals at all.
-func sameSuite(a, b *SweepRecord) bool {
-	if a.Functions != b.Functions || len(a.Benchmarks) != len(b.Benchmarks) {
-		return false
-	}
-	for i := range a.Benchmarks {
-		if a.Benchmarks[i] != b.Benchmarks[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // compareCount flags a deterministic counter drifting past the
@@ -266,7 +252,7 @@ const TieredGainFloor = 1.05
 //     quantum measures nothing.
 func CompareTiered(committed, fresh *TieredBench, thresholdPct float64) []string {
 	var findings []string
-	if committed.Quantum != fresh.Quantum || !sameStringList(committed.Benchmarks, fresh.Benchmarks) {
+	if committed.Quantum != fresh.Quantum || !slices.Equal(committed.Benchmarks, fresh.Benchmarks) {
 		findings = append(findings, fmt.Sprintf(
 			"tiered: committed record covers %v at quantum %d, fresh run %v at quantum %d — regenerate BENCH_tiered.json with the standing suite",
 			committed.Benchmarks, committed.Quantum, fresh.Benchmarks, fresh.Quantum))
@@ -299,18 +285,6 @@ func CompareTiered(committed, fresh *TieredBench, thresholdPct float64) []string
 			"tiered: no suite program hit a tier boundary — the quantum no longer exercises re-placement")
 	}
 	return findings
-}
-
-func sameStringList(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // InjectTieredRegression artificially inflates a fresh tiered record's
@@ -375,7 +349,7 @@ func InjectSweepRegression(r *SweepRecord, pct float64) {
 //     presets: the measured crossover the suite exists to demonstrate.
 func CompareCrossover(committed, fresh *CrossoverRecord, thresholdPct float64) []string {
 	var findings []string
-	if !sameStringList(committed.Benchmarks, fresh.Benchmarks) || !sameStringList(committed.Machines, fresh.Machines) {
+	if !slices.Equal(committed.Benchmarks, fresh.Benchmarks) || !slices.Equal(committed.Machines, fresh.Machines) {
 		findings = append(findings, fmt.Sprintf(
 			"crossover: committed record covers %v over %v, fresh run %v over %v — regenerate BENCH_crossover.json with the standing suite",
 			committed.Benchmarks, committed.Machines, fresh.Benchmarks, fresh.Machines))

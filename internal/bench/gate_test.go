@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,14 +173,8 @@ func TestGateVMRegcodeRatio(t *testing.T) {
 // at or above VMSpeedupFloor, with matching instruction counts — so the
 // record and the floor cannot drift apart.
 func TestCommittedVMRecord(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_vm.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rec VMBench
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatal(err)
-	}
+	readRecord(t, "../../BENCH_vm.json", &rec)
 	if len(rec.Engines) != 2 || rec.Engines[0].Engine != "regcode" || rec.Engines[1].Engine != "tree" {
 		t.Fatalf("engines = %+v, want regcode then tree", rec.Engines)
 	}
@@ -360,5 +355,73 @@ func TestGateVMInstrDrift(t *testing.T) {
 	committed := vmRecord(5.0, 1000)
 	if findings := CompareVM(committed, vmRecord(5.0, 1001), 15); len(findings) == 0 {
 		t.Error("instruction-count drift passed the gate")
+	}
+}
+
+// TestCommittedRecordLabels: the strategy names in the committed sweep
+// and crossover records are exactly bench's labels in figure order,
+// and every recorded winner is one of them — the gate matches records
+// by these names, so a label drift would orphan every committed row.
+func TestCommittedRecordLabels(t *testing.T) {
+	var labels []string
+	for _, s := range Strategies {
+		labels = append(labels, Label(s))
+	}
+	if want := []string{"Baseline", "Shrinkwrap", "Optimized", "OptimizedExec"}; !slices.Equal(labels, want) {
+		t.Fatalf("labels = %v, want %v", labels, want)
+	}
+	isLabel := func(name string) bool { return slices.Contains(labels, name) }
+
+	var sweep SweepRecord
+	readRecord(t, "../../BENCH_machines.json", &sweep)
+	for _, m := range sweep.Machines {
+		var names []string
+		for _, s := range m.Strategies {
+			names = append(names, s.Name)
+		}
+		if !slices.Equal(names, labels) {
+			t.Errorf("BENCH_machines.json %s: strategies %v, want %v", m.Name, names, labels)
+		}
+		if !isLabel(m.Winner) {
+			t.Errorf("BENCH_machines.json %s: winner %q is not a label", m.Name, m.Winner)
+		}
+	}
+	for _, b := range sweep.BenchWinners {
+		for preset, w := range b.Winners {
+			if !isLabel(w) {
+				t.Errorf("BENCH_machines.json %s@%s: winner %q is not a label", b.Name, preset, w)
+			}
+		}
+	}
+
+	var cross CrossoverRecord
+	readRecord(t, "../../BENCH_crossover.json", &cross)
+	for _, b := range cross.Benches {
+		for _, row := range b.Presets {
+			var names []string
+			for _, c := range row.Strategies {
+				names = append(names, c.Strategy)
+			}
+			if !slices.Equal(names, labels) {
+				t.Errorf("BENCH_crossover.json %s@%s: strategies %v, want %v", b.Name, row.Machine, names, labels)
+			}
+			for _, w := range []string{row.UniformBest, row.MachineBest, row.WinnerStrategy} {
+				if !isLabel(w) {
+					t.Errorf("BENCH_crossover.json %s@%s: winner %q is not a label", b.Name, row.Machine, w)
+				}
+			}
+		}
+	}
+}
+
+// readRecord decodes a committed JSON record.
+func readRecord(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"testing"
+
+	"repro/internal/strategy"
 )
 
 // TestGeneratedSuite: irgen scenario families run through the full
@@ -20,11 +22,11 @@ func TestGeneratedSuite(t *testing.T) {
 		if r.Name != entries[i].Name {
 			t.Errorf("result %d named %q, want %q", i, r.Name, entries[i].Name)
 		}
-		if r.Overhead[Optimized] > r.Overhead[Baseline] {
-			t.Errorf("%s: Optimized overhead %d > Baseline %d", r.Name, r.Overhead[Optimized], r.Overhead[Baseline])
+		if r.Overhead[strategy.HierarchicalJump] > r.Overhead[strategy.EntryExit] {
+			t.Errorf("%s: Optimized overhead %d > Baseline %d", r.Name, r.Overhead[strategy.HierarchicalJump], r.Overhead[strategy.EntryExit])
 		}
-		if r.Overhead[Optimized] > r.Overhead[Shrinkwrap] {
-			t.Errorf("%s: Optimized overhead %d > Shrinkwrap %d", r.Name, r.Overhead[Optimized], r.Overhead[Shrinkwrap])
+		if r.Overhead[strategy.HierarchicalJump] > r.Overhead[strategy.Shrinkwrap] {
+			t.Errorf("%s: Optimized overhead %d > Shrinkwrap %d", r.Name, r.Overhead[strategy.HierarchicalJump], r.Overhead[strategy.Shrinkwrap])
 		}
 	}
 }

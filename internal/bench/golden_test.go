@@ -26,11 +26,7 @@ func paperTables(t *testing.T) string {
 		{"default", Options{}},
 		{"align", Options{Align: true}},
 	} {
-		var entries []Entry
-		for _, p := range workload.SPECInt2000() {
-			entries = append(entries, EntryFor(p))
-		}
-		results, err := RunEntries(entries, run.opts)
+		results, err := RunEntries(specEntries(workload.SPECInt2000()), run.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", run.name, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/strategy"
 	"repro/internal/vm"
 )
 
@@ -16,8 +17,8 @@ func Figure5(results []*Result) string {
 	fmt.Fprintf(&b, "%-10s %14s %14s %14s %14s\n", "benchmark", "Optimized", "Shrinkwrap", "Baseline", "Opt(exec)*")
 	for _, r := range results {
 		fmt.Fprintf(&b, "%-10s %14d %14d %14d %14d\n",
-			r.Name, r.Overhead[Optimized], r.Overhead[Shrinkwrap], r.Overhead[Baseline],
-			r.Overhead[OptimizedExec])
+			r.Name, r.Overhead[strategy.HierarchicalJump], r.Overhead[strategy.Shrinkwrap], r.Overhead[strategy.EntryExit],
+			r.Overhead[strategy.HierarchicalExec])
 	}
 	b.WriteString("\n*Opt(exec): exec-count cost model realized with jump blocks — an ablation\n")
 	b.WriteString(" the paper could not run (GCC cannot execute spill code on jump edges).\n")
@@ -33,9 +34,9 @@ func Table1(results []*Result) string {
 	fmt.Fprintf(&b, "%-10s %22s %22s\n", "benchmark", "Optimized/Baseline", "Shrinkwrap/Baseline")
 	var so, ss float64
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-10s %21.1f%% %21.1f%%\n", r.Name, r.Ratio(Optimized), r.Ratio(Shrinkwrap))
-		so += r.Ratio(Optimized)
-		ss += r.Ratio(Shrinkwrap)
+		fmt.Fprintf(&b, "%-10s %21.1f%% %21.1f%%\n", r.Name, r.Ratio(strategy.HierarchicalJump), r.Ratio(strategy.Shrinkwrap))
+		so += r.Ratio(strategy.HierarchicalJump)
+		ss += r.Ratio(strategy.Shrinkwrap)
 	}
 	n := float64(len(results))
 	fmt.Fprintf(&b, "%-10s %21.1f%% %21.1f%%\n", "Average", so/n, ss/n)
@@ -53,8 +54,8 @@ func Table2(results []*Result) string {
 	var sumRatio float64
 	n := 0
 	for _, r := range results {
-		sw := r.PlacementTime[Shrinkwrap].Seconds() * 1e3
-		opt := r.PlacementTime[Optimized].Seconds() * 1e3
+		sw := r.PlacementTime[strategy.Shrinkwrap].Seconds() * 1e3
+		opt := r.PlacementTime[strategy.HierarchicalJump].Seconds() * 1e3
 		ratio := 0.0
 		if sw > 0 {
 			ratio = opt / sw
@@ -132,34 +133,34 @@ func SweepTables(sw *Sweep) string {
 		for _, r := range sw.Results {
 			c := r.Cells[mi]
 			ratio := 100.0
-			if c[Baseline].WeightedOverhead != 0 {
-				ratio = 100 * float64(c[Optimized].WeightedOverhead) / float64(c[Baseline].WeightedOverhead)
+			if c[strategy.EntryExit].WeightedOverhead != 0 {
+				ratio = 100 * float64(c[strategy.HierarchicalJump].WeightedOverhead) / float64(c[strategy.EntryExit].WeightedOverhead)
 			}
 			fmt.Fprintf(&b, "%-10s %14d %14d %14d %14d %8.1f%%\n",
-				r.Name, c[Optimized].WeightedOverhead, c[Shrinkwrap].WeightedOverhead,
-				c[Baseline].WeightedOverhead, c[OptimizedExec].WeightedOverhead, ratio)
+				r.Name, c[strategy.HierarchicalJump].WeightedOverhead, c[strategy.Shrinkwrap].WeightedOverhead,
+				c[strategy.EntryExit].WeightedOverhead, c[strategy.HierarchicalExec].WeightedOverhead, ratio)
 		}
 		totalRatio := 100.0
-		if t.Overhead[Baseline] != 0 {
-			totalRatio = 100 * float64(t.Overhead[Optimized]) / float64(t.Overhead[Baseline])
+		if t.Overhead[strategy.EntryExit] != 0 {
+			totalRatio = 100 * float64(t.Overhead[strategy.HierarchicalJump]) / float64(t.Overhead[strategy.EntryExit])
 		}
 		fmt.Fprintf(&b, "%-10s %14d %14d %14d %14d %8.1f%%\n",
-			"Total", t.Overhead[Optimized], t.Overhead[Shrinkwrap],
-			t.Overhead[Baseline], t.Overhead[OptimizedExec], totalRatio)
+			"Total", t.Overhead[strategy.HierarchicalJump], t.Overhead[strategy.Shrinkwrap],
+			t.Overhead[strategy.EntryExit], t.Overhead[strategy.HierarchicalExec], totalRatio)
 		fmt.Fprintf(&b, "placement time: shrinkwrap %.3fms, optimized %.3fms, all strategies %.3fms\n\n",
-			t.Placement[Shrinkwrap].Seconds()*1e3, t.Placement[Optimized].Seconds()*1e3,
-			(t.Placement[Baseline]+t.Placement[Shrinkwrap]+t.Placement[Optimized]+t.Placement[OptimizedExec]).Seconds()*1e3)
+			t.Placement[strategy.Shrinkwrap].Seconds()*1e3, t.Placement[strategy.HierarchicalJump].Seconds()*1e3,
+			(t.Placement[strategy.EntryExit]+t.Placement[strategy.Shrinkwrap]+t.Placement[strategy.HierarchicalJump]+t.Placement[strategy.HierarchicalExec]).Seconds()*1e3)
 	}
 
 	b.WriteString("Crossover: suite-total winner by machine (jump:spill = taken-jump penalty over mean spill latency)\n\n")
 	fmt.Fprintf(&b, "%-14s %-14s %10s %-14s %12s\n", "machine", "costs", "jump:spill", "winner", "win vs base")
 	for _, t := range totals {
 		ratio := 100.0
-		if t.Overhead[Baseline] != 0 {
-			ratio = 100 * float64(t.Overhead[t.Winner]) / float64(t.Overhead[Baseline])
+		if t.Overhead[strategy.EntryExit] != 0 {
+			ratio = 100 * float64(t.Overhead[t.Winner]) / float64(t.Overhead[strategy.EntryExit])
 		}
 		fmt.Fprintf(&b, "%-14s %-14s %10.2f %-14s %11.1f%%\n",
-			t.Machine.Name, t.Machine.Costs.String(), t.Machine.Costs.SpillRatio(), t.Winner, ratio)
+			t.Machine.Name, t.Machine.Costs.String(), t.Machine.Costs.SpillRatio(), Label(t.Winner), ratio)
 	}
 	fmt.Fprintf(&b, "\nanalysis builds over %d machines, %d placed functions: liveness %d, dom %d, loops %d, pst %d, seed %d (each at most once per function)\n",
 		len(sw.Machines), sw.Functions, sw.Builds.Liveness, sw.Builds.Dom, sw.Builds.Loops, sw.Builds.PST, sw.Builds.Seed)
@@ -170,8 +171,8 @@ func SweepTables(sw *Sweep) string {
 // suite-wide total per strategy. Merging is order-independent, so the
 // totals are identical whether the results came from the serial loop
 // or from concurrent shards.
-func SuiteStats(results []*Result) [numStrategies]vm.Stats {
-	var out [numStrategies]vm.Stats
+func SuiteStats(results []*Result) [strategy.Count]vm.Stats {
+	var out [strategy.Count]vm.Stats
 	for s := range out {
 		out[s].Calls = make(map[string]int64)
 	}
@@ -194,7 +195,7 @@ func Totals(results []*Result) string {
 	for _, s := range Strategies {
 		st := &stats[s]
 		fmt.Fprintf(&b, "%-14s %16d %14d %10d %10d %10d %10d %8d\n",
-			s.String(), st.Instrs, st.Overhead(), st.Saves, st.Restores,
+			Label(s), st.Instrs, st.Overhead(), st.Saves, st.Restores,
 			st.SpillLoads, st.SpillStores, st.JumpBlockJmps)
 	}
 	return b.String()

@@ -15,12 +15,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/par"
-	"repro/internal/profile"
-	"repro/internal/regalloc"
 	"repro/internal/strategy"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -38,20 +33,23 @@ type SweepCell struct {
 	// this machine (analyses shared through the benchmark's cache are
 	// charged to whichever machine/strategy builds them first).
 	PlacementTime time.Duration
+	// Stats holds the measurement run's VM counters (deep-copied, so
+	// concurrent runs never share a Calls map).
+	Stats vm.Stats
 }
 
 // SweepBench holds one benchmark's cells, indexed [machine][strategy].
 type SweepBench struct {
 	Name        string
-	Cells       [][numStrategies]SweepCell
+	Cells       [][strategy.Count]SweepCell
 	ReturnValue int64
 }
 
 // Winner returns the benchmark's winning strategy under machine mi:
 // the lowest measured weighted overhead, ties to the earlier strategy
-// in declaration order (the simpler technique).
-func (r *SweepBench) Winner(mi int) Strategy {
-	w := Baseline
+// in figure order (the simpler technique).
+func (r *SweepBench) Winner(mi int) strategy.Strategy {
+	w := Strategies[0]
 	for _, s := range Strategies {
 		if r.Cells[mi][s].WeightedOverhead < r.Cells[mi][w].WeightedOverhead {
 			w = s
@@ -80,13 +78,13 @@ type Sweep struct {
 // MachineTotal aggregates one machine's suite-wide numbers.
 type MachineTotal struct {
 	Machine   *machine.Desc
-	Overhead  [numStrategies]int64
-	Modeled   [numStrategies]int64
-	Placement [numStrategies]time.Duration
+	Overhead  [strategy.Count]int64
+	Modeled   [strategy.Count]int64
+	Placement [strategy.Count]time.Duration
 	// Winner is the strategy with the lowest suite-total weighted
 	// overhead on this machine (ties go to the earlier strategy in
-	// declaration order, i.e. the simpler technique).
-	Winner Strategy
+	// figure order, i.e. the simpler technique).
+	Winner strategy.Strategy
 }
 
 // MachineTotals sums the per-benchmark cells into per-machine totals.
@@ -102,7 +100,7 @@ func (sw *Sweep) MachineTotals() []MachineTotal {
 				t.Placement[s] += r.Cells[mi][s].PlacementTime
 			}
 		}
-		t.Winner = Baseline
+		t.Winner = Strategies[0]
 		for _, s := range Strategies {
 			if t.Overhead[s] < t.Overhead[t.Winner] {
 				t.Winner = s
@@ -134,153 +132,26 @@ func RunSweep(entries []Entry, machines []*machine.Desc, opts Options) (*Sweep, 
 		// premise. RunCrossover sweeps one preset at a time instead.
 		return nil, fmt.Errorf("bench: MachineAlloc requires a single-machine sweep")
 	}
-	sw := &Sweep{Machines: machines, Results: make([]*SweepBench, len(entries))}
-	builds := make([]analysis.Counts, len(entries))
-	funcs := make([]int, len(entries))
-	inner := opts
-	if par.Limit(opts.Parallelism, len(entries)) > 1 {
-		inner.Parallelism = 1
-	}
-	err := par.Do(len(entries), opts.Parallelism, func(i int) error {
-		r, b, nf, err := runSweepEntry(entries[i], machines, inner)
-		if err != nil {
-			return err
-		}
-		sw.Results[i], builds[i], funcs[i] = r, b, nf
-		return nil
+	evs := make([]*evaluation, len(entries))
+	err := eachEntry(len(entries), opts, func(i int, inner Options) (err error) {
+		evs[i], err = evaluate(entries[i], machines, inner)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range entries {
-		sw.Builds.Liveness += builds[i].Liveness
-		sw.Builds.Dom += builds[i].Dom
-		sw.Builds.Loops += builds[i].Loops
-		sw.Builds.PST += builds[i].PST
-		sw.Builds.Seed += builds[i].Seed
-		sw.Builds.Busy += builds[i].Busy
-		sw.Functions += funcs[i]
+	sw := &Sweep{Machines: machines}
+	for _, ev := range evs {
+		sw.Results = append(sw.Results, ev.SweepBench)
+		sw.Builds.Liveness += ev.builds.Liveness
+		sw.Builds.Dom += ev.builds.Dom
+		sw.Builds.Loops += ev.builds.Loops
+		sw.Builds.PST += ev.builds.PST
+		sw.Builds.Seed += ev.builds.Seed
+		sw.Builds.Busy += ev.builds.Busy
+		sw.Functions += ev.funcs
 	}
 	return sw, nil
-}
-
-// runSweepEntry runs one benchmark through the sweep: one generate/
-// profile/allocate, then per (machine, strategy) placement on clones
-// and a measurement run per clone.
-func runSweepEntry(e Entry, machines []*machine.Desc, opts Options) (*SweepBench, analysis.Counts, int, error) {
-	prog := e.Gen()
-	if _, err := profile.Collect(prog, 0); err != nil {
-		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: profile: %w", e.Name, err)
-	}
-	if err := profile.Consistent(prog); err != nil {
-		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: %w", e.Name, err)
-	}
-	if _, err := regalloc.AllocateProgramOpts(prog, machines[0], opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc}); err != nil {
-		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: regalloc: %w", e.Name, err)
-	}
-
-	res := &SweepBench{Name: e.Name, Cells: make([][numStrategies]SweepCell, len(machines))}
-	cache := analysis.NewCache()
-	funcs := strategy.NeedsPlacement(prog)
-
-	// Placement stays serial across (machine, strategy) pairs so the
-	// timing column keeps its Table 2 meaning; each placement may still
-	// fan out per function. A strategy whose placement cannot depend on
-	// the machine computes, applies, and executes once — its cells for
-	// the other machines reprice the one measurement (pricing happens
-	// after the fact, on the class counts), with the placement time
-	// charged to the first machine and zero for the repriced ones.
-	type run struct {
-		mi    int // machine that owns the VM execution
-		s     Strategy
-		clone *ir.Program
-		all   bool // result is repriced for every machine
-	}
-	var runs []run
-	for mi, d := range machines {
-		for _, s := range Strategies {
-			if mi > 0 && !machineDependent(s, machines) {
-				continue
-			}
-			sets, elapsed, err := computeSets(funcs, s, opts.Parallelism, cache, d)
-			if err != nil {
-				return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: %s@%s: %w", e.Name, s, d.Name, err)
-			}
-			res.Cells[mi][s].PlacementTime = elapsed
-			// The modeled cost prices the same sets with each machine's
-			// jump-edge model, so it is filled for every machine the
-			// placement serves.
-			for pm, pd := range machines {
-				if pm != mi && machineDependent(s, machines) {
-					continue
-				}
-				model := core.MachineModel{Desc: pd, ChargeJumps: true}
-				for _, fs := range sets {
-					res.Cells[pm][s].Modeled += core.TotalCost(model, fs)
-				}
-			}
-			clone := prog.Clone()
-			if err := applySets(clone, funcs, sets, opts.Parallelism); err != nil {
-				return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: %s@%s: %w", e.Name, s, d.Name, err)
-			}
-			runs = append(runs, run{mi, s, clone, !machineDependent(s, machines)})
-		}
-	}
-
-	// Measurement runs are independent (one clone, one VM each) and
-	// fan out across the pool. The convention checker uses the shared
-	// register file; only the pricing differs per machine.
-	vals := make([]int64, len(runs))
-	err := par.Do(len(runs), opts.Parallelism, func(i int) error {
-		r := runs[i]
-		v := vm.New(r.clone, vm.Config{Machine: machines[0]})
-		val, err := v.Run(0)
-		if err != nil {
-			return fmt.Errorf("sweep %s: %s@%s run: %w", e.Name, r.s, machines[r.mi].Name, err)
-		}
-		vals[i] = val
-		if r.all {
-			for pm, pd := range machines {
-				res.Cells[pm][r.s].WeightedOverhead = v.Stats.WeightedOverhead(pd.Costs)
-			}
-		} else {
-			res.Cells[r.mi][r.s].WeightedOverhead = v.Stats.WeightedOverhead(machines[r.mi].Costs)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, analysis.Counts{}, 0, err
-	}
-	res.ReturnValue = vals[0]
-	for i, v := range vals {
-		if v != res.ReturnValue {
-			return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: %s@%s computed %d, want %d",
-				e.Name, runs[i].s, machines[runs[i].mi].Name, v, res.ReturnValue)
-		}
-	}
-	return res, cache.Counts(), len(funcs), nil
-}
-
-// machineDependent reports whether the strategy's placement can differ
-// across the swept machines. The hierarchical strategies optimize the
-// machine's cost model; Chow's shrink-wrapping reads only the
-// machine's jump-charging verdict, so it is machine-dependent only
-// when the swept machines disagree on it; entry/exit placement never
-// consults a machine.
-func machineDependent(s Strategy, machines []*machine.Desc) bool {
-	t := s.technique()
-	if t.IsHierarchical() {
-		return true
-	}
-	if t == strategy.Shrinkwrap {
-		first := machines[0].Costs.JumpCost() > 0
-		for _, d := range machines[1:] {
-			if (d.Costs.JumpCost() > 0) != first {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // SweepStrategyRecord is one (machine, strategy) suite total in the
@@ -349,7 +220,7 @@ func (sw *Sweep) Record(suiteName string) *SweepRecord {
 		first := r.Winner(0)
 		for mi, d := range sw.Machines {
 			w := r.Winner(mi)
-			br.Winners[d.Name] = w.String()
+			br.Winners[d.Name] = Label(w)
 			if w != first {
 				br.Flips = true
 			}
@@ -361,15 +232,15 @@ func (sw *Sweep) Record(suiteName string) *SweepRecord {
 			Name:       t.Machine.Name,
 			Costs:      t.Machine.Costs,
 			SpillRatio: t.Machine.Costs.SpillRatio(),
-			Winner:     t.Winner.String(),
+			Winner:     Label(t.Winner),
 		}
 		for _, s := range Strategies {
 			ratio := 100.0
-			if t.Overhead[Baseline] != 0 {
-				ratio = 100 * float64(t.Overhead[s]) / float64(t.Overhead[Baseline])
+			if base := t.Overhead[strategy.EntryExit]; base != 0 {
+				ratio = 100 * float64(t.Overhead[s]) / float64(base)
 			}
 			mr.Strategies = append(mr.Strategies, SweepStrategyRecord{
-				Name:             s.String(),
+				Name:             Label(s),
 				WeightedOverhead: t.Overhead[s],
 				Modeled:          t.Modeled[s],
 				PlacementNS:      t.Placement[s].Nanoseconds(),

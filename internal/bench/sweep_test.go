@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -49,8 +50,8 @@ func TestSweepSharesAnalyses(t *testing.T) {
 
 // TestSweepClassicMatchesRunEntry: under the classic (unit-cost)
 // preset the sweep's weighted overheads must equal RunEntry's measured
-// counts exactly — the machine parameterization changes nothing on the
-// paper's machine.
+// counts exactly — unit pricing is the plain count, and RunEntry's
+// Result is read off the same evaluation loop's classic cells.
 func TestSweepClassicMatchesRunEntry(t *testing.T) {
 	entries := sweepEntries(t)
 	classic, err := machine.Preset("classic")
@@ -93,9 +94,9 @@ func TestSweepWinners(t *testing.T) {
 					tot.Machine.Name, tot.Winner, s, tot.Overhead[s], tot.Overhead[tot.Winner])
 			}
 		}
-		if tot.Overhead[Optimized] > tot.Overhead[Baseline] {
+		if tot.Overhead[strategy.HierarchicalJump] > tot.Overhead[strategy.EntryExit] {
 			t.Errorf("%s: Optimized weighted overhead %d exceeds Baseline %d",
-				tot.Machine.Name, tot.Overhead[Optimized], tot.Overhead[Baseline])
+				tot.Machine.Name, tot.Overhead[strategy.HierarchicalJump], tot.Overhead[strategy.EntryExit])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/strategy"
 	"repro/internal/workload"
 )
 
@@ -24,7 +25,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	results, err := RunAll(workload.SPECInt2000())
+	results, err := RunEntries(specEntries(workload.SPECInt2000()), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +33,8 @@ func TestTable1Shape(t *testing.T) {
 	var sumOpt, sumSw, paperOpt, paperSw float64
 	for _, r := range results {
 		byName[r.Name] = r
-		sumOpt += r.Ratio(Optimized)
-		sumSw += r.Ratio(Shrinkwrap)
+		sumOpt += r.Ratio(strategy.HierarchicalJump)
+		sumSw += r.Ratio(strategy.Shrinkwrap)
 		paperOpt += paperTable1[r.Name][0]
 		paperSw += paperTable1[r.Name][1]
 	}
@@ -44,13 +45,13 @@ func TestTable1Shape(t *testing.T) {
 		if r == nil {
 			t.Fatalf("missing benchmark %s", name)
 		}
-		if d := math.Abs(r.Ratio(Optimized) - want[0]); d > perBench {
+		if d := math.Abs(r.Ratio(strategy.HierarchicalJump) - want[0]); d > perBench {
 			t.Errorf("%s optimized ratio %.1f%%, paper %.1f%% (off by %.1f)",
-				name, r.Ratio(Optimized), want[0], d)
+				name, r.Ratio(strategy.HierarchicalJump), want[0], d)
 		}
-		if d := math.Abs(r.Ratio(Shrinkwrap) - want[1]); d > perBench {
+		if d := math.Abs(r.Ratio(strategy.Shrinkwrap) - want[1]); d > perBench {
 			t.Errorf("%s shrinkwrap ratio %.1f%%, paper %.1f%% (off by %.1f)",
-				name, r.Ratio(Shrinkwrap), want[1], d)
+				name, r.Ratio(strategy.Shrinkwrap), want[1], d)
 		}
 	}
 
@@ -64,20 +65,20 @@ func TestTable1Shape(t *testing.T) {
 
 	// Qualitative facts from the paper's discussion:
 	// the biggest hierarchical wins are gcc and crafty;
-	if byName["crafty"].Ratio(Optimized) > 60 || byName["gcc"].Ratio(Optimized) > 70 {
+	if byName["crafty"].Ratio(strategy.HierarchicalJump) > 60 || byName["gcc"].Ratio(strategy.HierarchicalJump) > 70 {
 		t.Error("gcc and crafty should show the deepest optimized wins")
 	}
 	// mcf has almost no callee-saved spill overhead;
-	if byName["mcf"].Overhead[Baseline] > 100 {
-		t.Errorf("mcf overhead should be tiny, got %d", byName["mcf"].Overhead[Baseline])
+	if byName["mcf"].Overhead[strategy.EntryExit] > 100 {
+		t.Errorf("mcf overhead should be tiny, got %d", byName["mcf"].Overhead[strategy.EntryExit])
 	}
 	// shrink-wrapping loses to entry/exit on twolf (its worst case);
-	if byName["twolf"].Ratio(Shrinkwrap) <= 100 {
+	if byName["twolf"].Ratio(strategy.Shrinkwrap) <= 100 {
 		t.Error("twolf shrink-wrap should exceed entry/exit placement")
 	}
 	// and the optimized placement never exceeds either technique.
 	for _, r := range results {
-		if r.Overhead[Optimized] > r.Overhead[Baseline] || r.Overhead[Optimized] > r.Overhead[Shrinkwrap] {
+		if r.Overhead[strategy.HierarchicalJump] > r.Overhead[strategy.EntryExit] || r.Overhead[strategy.HierarchicalJump] > r.Overhead[strategy.Shrinkwrap] {
 			t.Errorf("%s: never-worse guarantee violated", r.Name)
 		}
 	}
@@ -88,7 +89,7 @@ func TestReportsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	results, err := RunAll(workload.SPECInt2000()[:2])
+	results, err := RunEntries(specEntries(workload.SPECInt2000()[:2]), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestReportsRender(t *testing.T) {
 // TestDeterministicRuns checks the whole pipeline is reproducible.
 func TestDeterministicRuns(t *testing.T) {
 	p := workload.SPECInt2000()[3] // mcf, the smallest
-	r1, err := Run(p)
+	r1, err := RunEntry(EntryFor(p), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(p)
+	r2, err := RunEntry(EntryFor(p), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

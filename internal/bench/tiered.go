@@ -21,8 +21,6 @@ import (
 	"repro/internal/irgen"
 	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/profile"
-	"repro/internal/regalloc"
 	"repro/internal/strategy"
 	"repro/internal/tier"
 	"repro/internal/vm"
@@ -133,10 +131,9 @@ func BenchTiered(entries []Entry, quantum int64, reps int) (*TieredBench, error)
 		for _, e := range entries {
 			var staticBest, tieredBest int64
 			for r := 0; r < reps; r++ {
-				prog := e.Gen()
-				profile.EstimateProgramMachine(prog, d, nil)
-				if _, err := regalloc.AllocateProgramParallel(prog, d, 0); err != nil {
-					return nil, fmt.Errorf("benchtiered %s/%s: regalloc: %w", d.Name, e.Name, err)
+				prog, _, err := prepare(e, d, Options{}, true)
+				if err != nil {
+					return nil, fmt.Errorf("benchtiered %s: %w", d.Name, err)
 				}
 
 				// Static arm: the one-shot estimate-weighted pipeline.
@@ -144,7 +141,7 @@ func BenchTiered(entries []Entry, quantum int64, reps int) (*TieredBench, error)
 				for _, f := range st.FuncsInOrder() {
 					layout.Align(f)
 				}
-				if err := strategy.PlaceProgramFor(st, strategy.HierarchicalJump, d, 0, nil); err != nil {
+				if err := strategy.PlaceProgram(st, strategy.HierarchicalJump, d, 0, nil); err != nil {
 					return nil, fmt.Errorf("benchtiered %s/%s: static place: %w", d.Name, e.Name, err)
 				}
 				m := vm.New(st, vm.Config{Machine: d, CollectEdges: true})

@@ -17,8 +17,6 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/profile"
-	"repro/internal/regalloc"
 	"repro/internal/strategy"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -87,14 +85,11 @@ func BenchVM(suite []workload.BenchParams, reps int) (*VMBench, error) {
 	}
 	var progs []prepared
 	for _, p := range suite {
-		prog := workload.Generate(p)
-		if _, err := profile.Collect(prog, 0); err != nil {
-			return nil, fmt.Errorf("benchvm %s: profile: %w", p.Name, err)
+		prog, _, err := prepare(EntryFor(p), mach, Options{}, false)
+		if err != nil {
+			return nil, fmt.Errorf("benchvm: %w", err)
 		}
-		if _, err := regalloc.AllocateProgramParallel(prog, mach, 0); err != nil {
-			return nil, fmt.Errorf("benchvm %s: regalloc: %w", p.Name, err)
-		}
-		if err := strategy.PlaceProgram(prog, strategy.HierarchicalJump, 0); err != nil {
+		if err := strategy.PlaceProgram(prog, strategy.HierarchicalJump, nil, 0, nil); err != nil {
 			return nil, fmt.Errorf("benchvm %s: place: %w", p.Name, err)
 		}
 		progs = append(progs, prepared{p.Name, prog})

@@ -187,7 +187,7 @@ func Check(prog *ir.Program, opts Options) *Report {
 				override = opts.JumpModel
 			}
 			info := cache.For(f)
-			sets, err := strategy.ComputeCachedWithModel(f, s, info, override)
+			sets, err := strategy.ComputeWithModel(f, s, info, override)
 			if err != nil {
 				r.violate("verify-placed", s, "%s: compute: %v", f.Name, err)
 				ok = false

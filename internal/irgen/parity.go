@@ -82,7 +82,7 @@ func EngineParitySweep(prog *ir.Program, args []int64, budgets []int64) []string
 	if _, err := regalloc.AllocateProgramParallel(placed, mach, 1); err != nil {
 		return append(ms, "alloc: "+err.Error())
 	}
-	if err := strategy.PlaceProgram(placed, strategy.HierarchicalJump, 1); err != nil {
+	if err := strategy.PlaceProgram(placed, strategy.HierarchicalJump, nil, 1, nil); err != nil {
 		return append(ms, "place: "+err.Error())
 	}
 	for _, m := range EngineParity(placed, vm.Config{Machine: mach, CollectEdges: true, MaxSteps: 1 << 22}, args) {

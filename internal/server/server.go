@@ -16,9 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"maps"
 	"net/http"
+	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro"
@@ -29,6 +32,7 @@ import (
 	"repro/internal/irtext"
 	"repro/internal/par"
 	"repro/internal/regalloc"
+	"repro/internal/strategy"
 	"repro/internal/vm"
 )
 
@@ -211,6 +215,10 @@ type Server struct {
 	// allocate is the pipeline's allocation step; tests swap it to
 	// inject failures the real pipeline cannot be driven into.
 	allocate func(*spillopt.Program) error
+
+	// requests numbers /v1/place requests, so a panic's log line and
+	// its 500 body can be matched.
+	requests atomic.Uint64
 }
 
 // New builds a Server with the given configuration.
@@ -243,21 +251,43 @@ func (s *Server) Handler() http.Handler {
 // handlePlace serves one /v1/place request. A panic anywhere in the
 // pipeline is recovered here into a 500 with a JSON error, so the
 // client gets an answer, the in-flight gauge comes back down, and the
-// panic is counted in /metrics.
+// panic is counted in /metrics. Every panic, here or contained by a
+// worker pool, is logged with its stack under the request's sequence
+// number, which the 500 body carries too.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	id := s.requests.Add(1)
 	s.metrics.begin()
 	status, fromCache, panicked := http.StatusInternalServerError, false, true
 	defer func() {
 		if v := recover(); v != nil {
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: panic: %v", v))
+			logPanic(id, v, debug.Stack())
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write(errorBody(fmt.Sprintf("internal error: panic: %v", v), id))
 		}
 		s.metrics.done(status, fromCache, panicked, time.Since(start))
 	}()
-	status, fromCache, panicked = s.servePlace(w, r)
+	status, fromCache, panicked = s.servePlace(w, r, id)
 }
 
-func (s *Server) servePlace(w http.ResponseWriter, r *http.Request) (status int, fromCache, panicked bool) {
+// logPanic writes one log line carrying the request's sequence number,
+// the panic value, and the quoted stack.
+func logPanic(id uint64, v any, stack []byte) {
+	log.Printf("spillserve: request %d: panic: %v; stack: %q", id, v, stack)
+}
+
+// errorBody renders a JSON error; a nonzero request number is
+// included so a 500 can be matched with its panic's log line.
+func errorBody(msg string, request uint64) []byte {
+	body, _ := json.Marshal(struct {
+		Error   string `json:"error"`
+		Request uint64 `json:"request,omitempty"`
+	}{msg, request})
+	return body
+}
+
+func (s *Server) servePlace(w http.ResponseWriter, r *http.Request, id uint64) (status int, fromCache, panicked bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -280,11 +310,15 @@ func (s *Server) servePlace(w http.ResponseWriter, r *http.Request) (status int,
 		return http.StatusBadRequest, false, false
 	}
 	o := s.place(&req)
+	if o.panic != nil {
+		logPanic(id, o.panic.Value, o.panic.Stack)
+		o.body = errorBody(o.err.Error(), id)
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", o.cache)
 	w.WriteHeader(o.status)
 	w.Write(o.body)
-	return o.status, o.cache != cacheMiss, o.panicked
+	return o.status, o.cache != cacheMiss, o.panic != nil
 }
 
 // placeOutcome is one placement's result, independent of HTTP
@@ -293,9 +327,10 @@ type placeOutcome struct {
 	status int
 	body   []byte
 	cache  string
-	// panicked marks a failure from a pipeline panic that a worker
-	// pool contained (par.PanicError).
-	panicked bool
+	// err is the failure, if any; panic is set when a worker pool
+	// contained a pipeline panic into it.
+	err   error
+	panic *par.PanicError
 }
 
 // fail builds an error outcome. A panic contained by a worker pool is
@@ -303,12 +338,10 @@ type placeOutcome struct {
 // where the caller would report a failing input as 4xx.
 func fail(status int, err error) placeOutcome {
 	var pe *par.PanicError
-	panicked := errors.As(err, &pe)
-	if panicked {
+	if errors.As(err, &pe) {
 		status = http.StatusInternalServerError
 	}
-	body, _ := json.Marshal(map[string]string{"error": err.Error()})
-	return placeOutcome{status: status, body: body, cache: cacheMiss, panicked: panicked}
+	return placeOutcome{status: status, body: errorBody(err.Error(), 0), cache: cacheMiss, err: err, panic: pe}
 }
 
 // place runs one placement request through the caches and, on miss,
@@ -461,12 +494,10 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	stratName := req.Strategy
 	var stratCosts map[string]int64
 	if best {
-		if stratName, stratCosts, err = s.pickBest(prog); err != nil {
+		if strat, stratCosts, err = s.pickBest(prog); err != nil {
 			return fail(http.StatusBadRequest, err)
 		}
-		if strat, err = spillopt.ParseStrategy(stratName); err != nil {
-			return fail(http.StatusInternalServerError, err)
-		}
+		stratName = strat.String()
 	}
 	// Input-driven failures end at Allocate: placement or reporting
 	// errors on an allocated program are pipeline invariant violations.
@@ -525,44 +556,39 @@ func (s *Server) putProgram(pkey, rawKey string, body []byte) {
 }
 
 // pickBest prices every strategy's placement per function (without
-// mutating the program) and returns the name with the lowest total,
-// plus all totals. Per-function winners feed the strategy_wins
-// metric; functions no strategy can improve (all costs zero) don't
-// count as wins. Ties go to declaration order, matching the
-// evaluation tools.
-func (s *Server) pickBest(prog *spillopt.Program) (string, map[string]int64, error) {
-	names := spillopt.Strategies()
-	totals := make(map[string]int64, len(names))
+// mutating the program) and returns the one with the lowest total,
+// plus all totals by name. Per-function winners feed the
+// strategy_wins metric; functions no strategy can improve (all costs
+// zero) don't count as wins. Ties go to declaration order, matching
+// the evaluation tools.
+func (s *Server) pickBest(prog *spillopt.Program) (spillopt.Strategy, map[string]int64, error) {
+	var totals [strategy.Count]int64
 	for _, fn := range prog.Functions() {
-		bestName, bestCost, maxCost := "", int64(0), int64(0)
-		for _, sn := range names {
-			st, err := spillopt.ParseStrategy(sn)
-			if err != nil {
-				return "", nil, err
-			}
+		best, bestCost, maxCost := strategy.All[0], int64(-1), int64(0)
+		for _, st := range strategy.All {
 			c, err := prog.PlacementCost(fn, st)
 			if err != nil {
-				return "", nil, fmt.Errorf("pricing %s under %s: %w", fn, sn, err)
+				return 0, nil, fmt.Errorf("pricing %s under %s: %w", fn, st, err)
 			}
-			totals[sn] += c
-			if bestName == "" || c < bestCost {
-				bestName, bestCost = sn, c
+			totals[st] += c
+			if bestCost < 0 || c < bestCost {
+				best, bestCost = st, c
 			}
-			if c > maxCost {
-				maxCost = c
-			}
+			maxCost = max(maxCost, c)
 		}
 		if maxCost > 0 {
-			s.metrics.win(bestName)
+			s.metrics.win(best.String())
 		}
 	}
-	winner, winnerCost := "", int64(0)
-	for _, sn := range names {
-		if winner == "" || totals[sn] < winnerCost {
-			winner, winnerCost = sn, totals[sn]
+	winner := strategy.All[0]
+	byName := make(map[string]int64, len(strategy.All))
+	for _, st := range strategy.All {
+		byName[st.String()] = totals[st]
+		if totals[st] < totals[winner] {
+			winner = st
 		}
 	}
-	return winner, totals, nil
+	return winner, byName, nil
 }
 
 func (s *Server) lookupFunctions(hashes []string, req *PlaceRequest) ([]FunctionEntry, bool) {

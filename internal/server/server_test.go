@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -709,9 +711,14 @@ func TestAllocOption(t *testing.T) {
 // a 500 with a JSON error instead of a dropped connection, whether it
 // unwinds straight to the handler or a worker pool contains it into a
 // par.PanicError (which is never blamed on the input as a 400). Either
-// way the in-flight gauge returns to zero, /metrics counts the panic,
-// and the service keeps answering.
+// way the panic is logged as one line carrying the request's sequence
+// number, the panic value and the stack, the 500 body carries the same
+// number, the in-flight gauge returns to zero, /metrics counts the
+// panic, and the service keeps answering.
 func TestPlacePanicContained(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
 	s, ts := newTestServer(t, Config{})
 	src := testProgram(7)
 	inject := map[string]func(*spillopt.Program) error{
@@ -725,15 +732,29 @@ func TestPlacePanicContained(t *testing.T) {
 			})
 		},
 	}
+	seen := map[uint64]bool{}
 	for _, name := range []string{"handler", "worker"} {
 		s.allocate = inject[name]
+		logged.Reset()
 		resp, body := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}})
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("%s panic: status %d: %s", name, resp.StatusCode, body)
 		}
-		var e struct{ Error string }
+		var e struct {
+			Error   string
+			Request uint64
+		}
 		if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "injected "+name+" panic") {
 			t.Errorf("%s panic: body %s is not a JSON error naming the panic (%v)", name, body, err)
+		}
+		if e.Request == 0 || seen[e.Request] {
+			t.Errorf("%s panic: body %s carries no fresh request number", name, body)
+		}
+		seen[e.Request] = true
+		lines := strings.Split(strings.TrimSuffix(logged.String(), "\n"), "\n")
+		want := fmt.Sprintf("request %d: panic: injected %s panic; stack: ", e.Request, name)
+		if len(lines) != 1 || !strings.Contains(lines[0], want) || !strings.Contains(lines[0], "server_test.go") {
+			t.Errorf("%s panic: log %q is not one line with %q and the panicking frame", name, logged.String(), want)
 		}
 	}
 

@@ -22,10 +22,10 @@ func setsKey(sets []*core.Set) string {
 	return out
 }
 
-// TestComputeAllSharesAnalyses pins the refactor's core guarantee:
-// evaluating all five strategies through one analysis.Info builds
-// liveness, dominators, loops, the PST, and the shrink-wrap seed at
-// most once per function — and produces exactly the sets the
+// TestComputeAllSharesAnalyses pins the shared analysis layer's core
+// guarantee: evaluating all five strategies through one analysis.Info
+// builds liveness, dominators, loops, the PST, and the shrink-wrap
+// seed at most once per function — and produces exactly the sets the
 // independent per-strategy path computes.
 func TestComputeAllSharesAnalyses(t *testing.T) {
 	base := buildDemo(t)
@@ -35,16 +35,20 @@ func TestComputeAllSharesAnalyses(t *testing.T) {
 	}
 	for _, f := range funcs {
 		info := analysis.For(f)
-		all, err := ComputeAll(f, info)
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+		var all [Count][]*core.Set
+		for _, s := range All {
+			sets, err := Compute(f, s, info, nil)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", f.Name, s, err)
+			}
+			all[s] = sets
 		}
 		c := info.Counts()
 		if c.Liveness > 1 || c.Dom > 1 || c.Loops > 1 || c.PST > 1 || c.Seed > 1 {
-			t.Errorf("%s: ComputeAll built an analysis more than once: %+v", f.Name, c)
+			t.Errorf("%s: the strategies built an analysis more than once: %+v", f.Name, c)
 		}
 		for _, s := range All {
-			independent, err := Compute(f, s)
+			independent, err := Compute(f, s, nil, nil)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", f.Name, s, err)
 			}
@@ -60,12 +64,12 @@ func TestComputeAllSharesAnalyses(t *testing.T) {
 func TestComputeAllNilInfo(t *testing.T) {
 	base := buildDemo(t)
 	f := NeedsPlacement(base)[0]
-	all, err := ComputeAll(f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, s := range All {
-		if len(all[s]) == 0 {
+		sets, err := Compute(f, s, nil, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if len(sets) == 0 {
 			t.Errorf("%v: no sets", s)
 		}
 	}
@@ -121,16 +125,16 @@ func benchFuncs(b *testing.B) []*ir.Func {
 	return funcs
 }
 
-// BenchmarkComputeEach measures the pre-refactor shape: five
-// independent Compute calls per function, each rebuilding liveness,
-// dominators, loops, PST, and the shrink-wrap seed from scratch.
+// BenchmarkComputeEach measures the unshared shape: five independent
+// Compute calls per function, each rebuilding liveness, dominators,
+// loops, PST, and the shrink-wrap seed from scratch.
 func BenchmarkComputeEach(b *testing.B) {
 	funcs := benchFuncs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range funcs {
 			for _, s := range All {
-				if _, err := Compute(f, s); err != nil {
+				if _, err := Compute(f, s, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -145,8 +149,11 @@ func BenchmarkComputeAll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range funcs {
-			if _, err := ComputeAll(f, analysis.For(f)); err != nil {
-				b.Fatal(err)
+			info := analysis.For(f)
+			for _, s := range All {
+				if _, err := Compute(f, s, info, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

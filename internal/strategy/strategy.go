@@ -1,10 +1,11 @@
 // Package strategy enumerates the callee-saved spill code placement
 // techniques the reproduction compares and computes their save/restore
-// sets. It is the single dispatch point shared by the public facade
-// (spillopt), the evaluation harness (internal/bench), and the
-// differential fuzzing oracle (internal/irgen): all three used to
-// carry their own copy of this switch, and a strategy added or fixed
-// in one place silently diverged from the others.
+// sets. Its Strategy is the one enum and Compute/Place the one
+// dispatch shared by the public facade (spillopt, which aliases the
+// enum), the evaluation harness (internal/bench, which only adds
+// figure labels), the tiered pipeline, the service, and the
+// differential fuzzing oracle (internal/irgen): a strategy added or
+// fixed here reaches all of them.
 package strategy
 
 import (
@@ -69,87 +70,45 @@ func (s Strategy) IsHierarchical() bool {
 	return s == HierarchicalExec || s == HierarchicalJump
 }
 
-// Model returns the cost model the strategy optimizes on the paper's
-// machine (unit costs), or nil for the strategies that do not consume
-// one.
-func (s Strategy) Model() core.CostModel {
-	switch s {
-	case HierarchicalExec:
+// model returns the cost model a hierarchical strategy optimizes on
+// machine d — the machine-priced execution count or jump edge model,
+// or the paper's unit-cost models when d is nil — and nil for the
+// strategies that consume no model.
+func model(s Strategy, d *machine.Desc) core.CostModel {
+	switch {
+	case s == HierarchicalExec && d == nil:
 		return core.ExecCountModel{}
-	case HierarchicalJump:
+	case s == HierarchicalJump && d == nil:
 		return core.JumpEdgeModel{}
-	}
-	return nil
-}
-
-// ModelFor returns the cost model the strategy optimizes on machine d:
-// the machine-priced execution count model for HierarchicalExec, the
-// machine-priced jump edge model for HierarchicalJump, nil otherwise.
-// A nil machine means the paper's unit-cost models (Model).
-func (s Strategy) ModelFor(d *machine.Desc) core.CostModel {
-	if d == nil {
-		return s.Model()
-	}
-	switch s {
-	case HierarchicalExec:
-		return core.MachineModel{Desc: d}
-	case HierarchicalJump:
-		return core.MachineModel{Desc: d, ChargeJumps: true}
+	case s.IsHierarchical():
+		return core.MachineModel{Desc: d, ChargeJumps: s == HierarchicalJump}
 	}
 	return nil
 }
 
 // Compute returns the strategy's save/restore sets for one allocated
-// function, building every analysis from scratch. The function is not
-// mutated. It is the thin uncached path; callers evaluating several
-// strategies (or validating afterwards) should share an analysis.Info
-// via ComputeCached or ComputeAll instead.
-func Compute(f *ir.Func, s Strategy) ([]*core.Set, error) {
-	return ComputeCachedWithModel(f, s, nil, nil)
-}
-
-// ComputeWithModel is Compute with the hierarchical strategies' cost
-// model overridden when m is non-nil. The differential oracle uses the
-// override to prove it can catch a broken model; every production
-// caller passes nil and gets the paper's models.
-func ComputeWithModel(f *ir.Func, s Strategy, m core.CostModel) ([]*core.Set, error) {
-	return ComputeCachedWithModel(f, s, nil, m)
-}
-
-// ComputeCached is Compute over the shared analysis layer: liveness,
-// dominators, loops, the PST, and the shrink-wrap seed are taken from
-// info (built on first use) instead of being rebuilt per call.
-func ComputeCached(f *ir.Func, s Strategy, info *analysis.Info) ([]*core.Set, error) {
-	return ComputeCachedWithModel(f, s, info, nil)
-}
-
-// ComputeCachedWithModel is ComputeCached plus an optional cost model
-// override for the hierarchical strategies. A nil info degrades to a
-// throwaway analysis build, reproducing the uncached path.
-func ComputeCachedWithModel(f *ir.Func, s Strategy, info *analysis.Info, m core.CostModel) ([]*core.Set, error) {
-	return compute(f, s, info, nil, m)
-}
-
-// ComputeFor is Compute on machine d: the hierarchical strategies
-// optimize d's cost surface and Chow's shrink-wrapping reads d's
-// jump-edge rule. A nil machine means the paper's unit-cost machine.
-func ComputeFor(f *ir.Func, s Strategy, d *machine.Desc) ([]*core.Set, error) {
-	return compute(f, s, nil, d, nil)
-}
-
-// ComputeCachedFor is ComputeFor over the shared analysis layer. The
-// memoized analyses are machine-independent (every machine sweeps over
-// the same CFG, liveness, PST, and seed), so one info — and one
-// program-level Cache — serves any number of machine descriptions.
-func ComputeCachedFor(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc) ([]*core.Set, error) {
+// function on machine d, without mutating it. The hierarchical
+// strategies optimize d's cost surface and Chow's shrink-wrapping
+// reads d's jump-edge rule; a nil machine means the paper's unit-cost
+// machine. Liveness, dominators, loops, the PST and the shrink-wrap
+// seed come from info, built on first use; the memoized analyses are
+// machine-independent, so one info serves every strategy on every
+// machine. A nil info means a throwaway build.
+func Compute(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc) ([]*core.Set, error) {
 	return compute(f, s, info, d, nil)
 }
 
-// compute is the single dispatch all Compute variants funnel through:
-// cached analyses, an optional machine description, and an optional
-// cost model override (the override wins over the machine's model for
-// the hierarchical strategies; the differential oracle uses it to
-// prove it can catch a broken model).
+// ComputeWithModel is Compute on the paper's machine with the
+// hierarchical strategies' cost model replaced by m. The differential
+// oracle uses it to prove it can catch a broken model; a nil m means
+// the paper's models.
+func ComputeWithModel(f *ir.Func, s Strategy, info *analysis.Info, m core.CostModel) ([]*core.Set, error) {
+	return compute(f, s, info, nil, m)
+}
+
+// compute is the single dispatch behind Compute and ComputeWithModel;
+// a non-nil m overrides the machine's model for the hierarchical
+// strategies.
 func compute(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc, m core.CostModel) ([]*core.Set, error) {
 	if info == nil {
 		info = analysis.For(f)
@@ -174,7 +133,7 @@ func compute(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc, m cor
 			return nil, err
 		}
 		if m == nil {
-			m = s.ModelFor(d)
+			m = model(s, d)
 		}
 		sets, _, err := core.Hierarchical(f, t, info.ShrinkwrapSeed(), m)
 		if err != nil {
@@ -185,85 +144,41 @@ func compute(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc, m cor
 	return nil, fmt.Errorf("strategy: unknown strategy %d", int(s))
 }
 
-// ComputeAll returns every strategy's save/restore sets for one
-// allocated function, indexed by Strategy, building each underlying
-// analysis at most once: all five strategies share info's liveness,
-// dominators, loops, PST, and shrink-wrap seed. The function is not
-// mutated.
-func ComputeAll(f *ir.Func, info *analysis.Info) ([Count][]*core.Set, error) {
-	var out [Count][]*core.Set
+// Place computes the strategy's sets for f on machine d (as Compute),
+// validates them, and applies them, inserting save/restore code and
+// jump blocks. It returns the applied edit: the delta has already
+// patched info's memoized analyses in place (falling back to full
+// invalidation for unrecognized edits), so no caller can read stale
+// results afterwards. A nil info means a throwaway build.
+func Place(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc) (*core.Delta, error) {
 	if info == nil {
 		info = analysis.For(f)
 	}
-	for _, s := range All {
-		sets, err := ComputeCached(f, s, info)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", s, err)
-		}
-		out[s] = sets
-	}
-	return out, nil
-}
-
-// Place computes the strategy's sets for f, validates them, and
-// applies them (inserting save/restore code and jump blocks).
-func Place(f *ir.Func, s Strategy) error {
-	return PlaceCached(f, s, nil)
-}
-
-// PlaceCached is Place over the shared analysis layer: the placement
-// computation and the validation reuse info's analyses, and info is
-// invalidated after Apply mutates the function, so no caller can read
-// stale results afterwards.
-func PlaceCached(f *ir.Func, s Strategy, info *analysis.Info) error {
-	return PlaceCachedFor(f, s, info, nil)
-}
-
-// PlaceCachedFor is PlaceCached on machine d (nil means the paper's
-// unit-cost machine).
-func PlaceCachedFor(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc) error {
-	if info == nil {
-		info = analysis.For(f)
-	}
-	sets, err := ComputeCachedFor(f, s, info, d)
+	sets, err := Compute(f, s, info, d)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := core.ValidateSetsLive(f, sets, info.Liveness()); err != nil {
-		return err
+		return nil, err
 	}
-	// Apply mutates f even on failure. The returned delta patches the
-	// memoized analyses in place (falling back to full invalidation for
-	// unrecognized edits — including the Full delta Apply reports on
-	// failure), so no caller can read stale results afterwards.
+	// Apply mutates f even on failure, and then reports a Full delta,
+	// which invalidates info.
 	delta, err := core.ApplyWithDelta(f, sets)
 	info.ApplyDelta(delta)
-	return err
+	return delta, err
 }
 
-// PlaceProgram applies the strategy to every function of prog that
-// uses callee-saved registers, fanning the independent per-function
-// pipelines (PST build, seeding, traversal, validation, apply) across
-// a bounded worker pool. parallelism <= 0 means GOMAXPROCS.
-func PlaceProgram(prog *ir.Program, s Strategy, parallelism int) error {
-	return PlaceProgramCached(prog, s, parallelism, nil)
-}
-
-// PlaceProgramCached is PlaceProgram over a shared analysis cache (nil
-// degrades to unshared per-function builds). Each worker touches only
-// its own function's Info, so a program-wide cache is safe to share
-// across the pool.
-func PlaceProgramCached(prog *ir.Program, s Strategy, parallelism int, cache *analysis.Cache) error {
-	return PlaceProgramFor(prog, s, nil, parallelism, cache)
-}
-
-// PlaceProgramFor is PlaceProgramCached on machine d: the strategy
-// optimizes (and shrink-wrapping consults) d's cost surface. A nil
-// machine means the paper's unit-cost machine.
-func PlaceProgramFor(prog *ir.Program, s Strategy, d *machine.Desc, parallelism int, cache *analysis.Cache) error {
+// PlaceProgram places every function of prog that uses callee-saved
+// registers on machine d (nil means the paper's unit-cost machine),
+// fanning the independent per-function pipelines (PST build, seeding,
+// traversal, validation, apply) across a bounded worker pool;
+// parallelism <= 0 means GOMAXPROCS. Each worker touches only its own
+// function's Info, so one program-wide cache is safe to share across
+// the pool; a nil cache means unshared per-function builds.
+func PlaceProgram(prog *ir.Program, s Strategy, d *machine.Desc, parallelism int, cache *analysis.Cache) error {
 	funcs := NeedsPlacement(prog)
 	return par.Do(len(funcs), parallelism, func(i int) error {
-		if err := PlaceCachedFor(funcs[i], s, cache.For(funcs[i]), d); err != nil {
+		if _, err := Place(funcs[i], s, cache.For(funcs[i]), d); err != nil {
 			return fmt.Errorf("%s: %w", funcs[i].Name, err)
 		}
 		return nil

@@ -83,7 +83,7 @@ func TestPlaceProgramAllStrategies(t *testing.T) {
 	var ref int64
 	for i, s := range All {
 		clone := base.Clone()
-		if err := PlaceProgram(clone, s, 1); err != nil {
+		if err := PlaceProgram(clone, s, nil, 1, nil); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
 		if err := ir.VerifyProgram(clone); err != nil {
@@ -104,7 +104,7 @@ func TestPlaceProgramAllStrategies(t *testing.T) {
 
 func TestComputeUnknownStrategy(t *testing.T) {
 	base := buildDemo(t)
-	if _, err := Compute(base.Func("work"), Strategy(99)); err == nil {
+	if _, err := Compute(base.Func("work"), Strategy(99), nil, nil); err == nil {
 		t.Error("unknown strategy should error")
 	}
 }
@@ -115,13 +115,13 @@ func TestComputeWithModelOverride(t *testing.T) {
 	if len(f.UsedCalleeSaved) == 0 {
 		t.Skip("work does not use callee-saved registers under this allocation")
 	}
-	real, err := Compute(f, HierarchicalExec)
+	real, err := Compute(f, HierarchicalExec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A model that prefers hot locations must not beat the real model
 	// under the real model's costing.
-	broken, err := ComputeWithModel(f, HierarchicalExec, hotModel{})
+	broken, err := ComputeWithModel(f, HierarchicalExec, nil, hotModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,8 @@ func (hotModel) LocationCost(k core.CostKind, l core.Location, seed bool) int64 
 }
 func (hotModel) Name() string { return "broken-hot" }
 
-// TestModelFor: the machine-parameterized model selection — nil falls
-// back to the paper's unit models, a machine description yields its
+// TestModelFor: the machine-parameterized model selection — nil is
+// the paper's unit models, a machine description yields its
 // MachineModel with the right jump-charging flavor, and non-
 // hierarchical strategies consume no model on any machine.
 func TestModelFor(t *testing.T) {
@@ -150,19 +150,20 @@ func TestModelFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unit := map[Strategy]core.CostModel{HierarchicalExec: core.ExecCountModel{}, HierarchicalJump: core.JumpEdgeModel{}}
 	for _, s := range All {
-		if got, want := s.ModelFor(nil), s.Model(); got != want {
-			t.Errorf("%s.ModelFor(nil) = %v, want Model() %v", s, got, want)
+		if got, want := model(s, nil), unit[s]; got != want {
+			t.Errorf("model(%s, nil) = %v, want %v", s, got, want)
 		}
 		if !s.IsHierarchical() {
-			if s.ModelFor(d) != nil {
-				t.Errorf("%s.ModelFor(machine) should be nil", s)
+			if model(s, d) != nil {
+				t.Errorf("model(%s, machine) should be nil", s)
 			}
 			continue
 		}
-		m, ok := s.ModelFor(d).(core.MachineModel)
+		m, ok := model(s, d).(core.MachineModel)
 		if !ok || m.Desc != d {
-			t.Fatalf("%s.ModelFor = %v, want MachineModel on %s", s, s.ModelFor(d), d.Name)
+			t.Fatalf("model(%s) = %v, want MachineModel on %s", s, model(s, d), d.Name)
 		}
 		if m.ChargeJumps != (s == HierarchicalJump) {
 			t.Errorf("%s: ChargeJumps = %v", s, m.ChargeJumps)
@@ -181,10 +182,10 @@ func TestPlaceProgramForClassicIdentity(t *testing.T) {
 	for _, s := range All {
 		a := buildDemo(t)
 		b := a.Clone()
-		if err := PlaceProgram(a, s, 1); err != nil {
+		if err := PlaceProgram(a, s, nil, 1, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := PlaceProgramFor(b, s, classic, 1, nil); err != nil {
+		if err := PlaceProgram(b, s, classic, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		va := vm.New(a, vm.Config{Machine: machine.PARISC()})

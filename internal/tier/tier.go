@@ -62,7 +62,7 @@ type Config struct {
 	// means GOMAXPROCS.
 	Parallelism int
 	// Cache is the shared analysis cache the final program's placement
-	// runs through (the delta-aware strategy.PlaceCachedFor path). May
+	// runs through (the delta-aware strategy.PlaceProgram path). May
 	// be nil. The throwaway tier-0 clone always uses a private cache so
 	// its short-lived functions never pin entries in a shared one.
 	Cache *analysis.Cache
@@ -133,9 +133,28 @@ func Run(prog *ir.Program, cfg Config, args ...int64) (*Result, error) {
 			layout.Align(f)
 		}
 	}
-	splitFrom, err := placeWithSplits(p0, cfg, analysis.NewCache())
+	// Tier 0 keeps each placement delta's edge splits, so the boundary
+	// can map counts measured on the placed clone back onto
+	// pre-placement edges.
+	funcs := strategy.NeedsPlacement(p0)
+	splits := make([][]core.EdgeSplit, len(funcs))
+	cache := analysis.NewCache()
+	err = par.Do(len(funcs), cfg.Parallelism, func(i int) error {
+		delta, err := strategy.Place(funcs[i], cfg.Strategy, cache.For(funcs[i]), cfg.Machine)
+		if err != nil {
+			return fmt.Errorf("%s: %w", funcs[i].Name, err)
+		}
+		splits[i] = delta.Splits
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("tier: tier 0 placement: %w", err)
+	}
+	splitFrom := make(map[*ir.Edge]*ir.Edge)
+	for _, ss := range splits {
+		for _, s := range ss {
+			splitFrom[s.OldEdge] = s.FromEdge
+		}
 	}
 
 	st0, val, completed, err := profile.CollectPartial(p0, vm.Config{
@@ -219,7 +238,7 @@ func alignAndPlace(prog *ir.Program, cfg Config, res *Result) error {
 			cfg.Cache.Invalidate(f)
 		}
 	}
-	if err := strategy.PlaceProgramFor(prog, cfg.Strategy, cfg.Machine, cfg.Parallelism, cfg.Cache); err != nil {
+	if err := strategy.PlaceProgram(prog, cfg.Strategy, cfg.Machine, cfg.Parallelism, cfg.Cache); err != nil {
 		return fmt.Errorf("tier: placement: %w", err)
 	}
 	return nil
@@ -258,41 +277,4 @@ func edgeCorrespondence(src, dst *ir.Program) (map[*ir.Edge]*ir.Edge, error) {
 		}
 	}
 	return m, nil
-}
-
-// placeWithSplits is the tier-0 variant of strategy.PlaceProgramFor:
-// the same compute/validate/apply-with-delta pipeline per function,
-// but it keeps each delta's edge splits so the boundary can map counts
-// measured on the placed clone back onto pre-placement edges.
-func placeWithSplits(prog *ir.Program, cfg Config, cache *analysis.Cache) (map[*ir.Edge]*ir.Edge, error) {
-	funcs := strategy.NeedsPlacement(prog)
-	splits := make([][]core.EdgeSplit, len(funcs))
-	err := par.Do(len(funcs), cfg.Parallelism, func(i int) error {
-		f := funcs[i]
-		info := cache.For(f)
-		sets, err := strategy.ComputeCachedFor(f, cfg.Strategy, info, cfg.Machine)
-		if err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
-		}
-		if err := core.ValidateSetsLive(f, sets, info.Liveness()); err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
-		}
-		delta, err := core.ApplyWithDelta(f, sets)
-		info.ApplyDelta(delta)
-		if err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
-		}
-		splits[i] = delta.Splits
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	splitFrom := make(map[*ir.Edge]*ir.Edge)
-	for _, ss := range splits {
-		for _, s := range ss {
-			splitFrom[s.OldEdge] = s.FromEdge
-		}
-	}
-	return splitFrom, nil
 }

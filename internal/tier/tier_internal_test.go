@@ -113,9 +113,16 @@ func TestStaticEqualProfileIsNoOp(t *testing.T) {
 	for _, f := range p0.FuncsInOrder() {
 		layout.Align(f)
 	}
-	splitFrom, err := placeWithSplits(p0, cfg, analysis.NewCache())
-	if err != nil {
-		t.Fatalf("tier-0 placement: %v", err)
+	splitFrom := make(map[*ir.Edge]*ir.Edge)
+	cache := analysis.NewCache()
+	for _, f := range strategy.NeedsPlacement(p0) {
+		delta, err := strategy.Place(f, cfg.Strategy, cache.For(f), cfg.Machine)
+		if err != nil {
+			t.Fatalf("tier-0 placement: %s: %v", f.Name, err)
+		}
+		for _, s := range delta.Splits {
+			splitFrom[s.OldEdge] = s.FromEdge
+		}
 	}
 	if len(splitFrom) == 0 {
 		t.Fatal("placement split no edges; the no-op check is vacuous")

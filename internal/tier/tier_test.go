@@ -36,7 +36,7 @@ func placeStatic(t *testing.T, prog *ir.Program, mach *machine.Desc) *ir.Program
 	for _, f := range p.FuncsInOrder() {
 		layout.Align(f)
 	}
-	if err := strategy.PlaceProgramFor(p, strategy.HierarchicalJump, mach, 1, nil); err != nil {
+	if err := strategy.PlaceProgram(p, strategy.HierarchicalJump, mach, 1, nil); err != nil {
 		t.Fatalf("static place: %v", err)
 	}
 	return p

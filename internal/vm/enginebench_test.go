@@ -34,7 +34,7 @@ func placedBench(b *testing.B, name string) *workloadProgram {
 		if _, err := regalloc.AllocateProgramParallel(prog, mach, 1); err != nil {
 			b.Fatal(err)
 		}
-		if err := strategy.PlaceProgram(prog, strategy.HierarchicalJump, 1); err != nil {
+		if err := strategy.PlaceProgram(prog, strategy.HierarchicalJump, nil, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 		return &workloadProgram{prog: prog, mach: mach}

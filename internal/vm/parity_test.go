@@ -91,7 +91,7 @@ func checkProgram(t *testing.T, label string, prog *ir.Program, args []int64) {
 	}
 	for _, s := range strategy.All {
 		clone := base.Clone()
-		if err := strategy.PlaceProgram(clone, s, 1); err != nil {
+		if err := strategy.PlaceProgram(clone, s, nil, 1, nil); err != nil {
 			t.Fatalf("%s: place %v: %v", label, s, err)
 		}
 		assertParity(t, label+"/"+s.String(), clone,

@@ -13,23 +13,27 @@ import (
 	"repro/internal/strategy"
 )
 
-// TestStrategyEnumsAligned pins the facade's Strategy constants to
-// internal/strategy's: Place converts by numeric cast.
+// TestStrategyEnumsAligned pins the facade's Strategy to
+// internal/strategy's, the one enum: every internal strategy
+// round-trips through ParseStrategy by its name, the facade lists the
+// names in the enum's order, and an unknown name keeps its error text.
 func TestStrategyEnumsAligned(t *testing.T) {
-	pairs := map[Strategy]strategy.Strategy{
-		EntryExit:        strategy.EntryExit,
-		Shrinkwrap:       strategy.Shrinkwrap,
-		ShrinkwrapSeed:   strategy.ShrinkwrapSeed,
-		HierarchicalExec: strategy.HierarchicalExec,
-		HierarchicalJump: strategy.HierarchicalJump,
+	names := Strategies()
+	if len(names) != len(strategy.All) {
+		t.Fatalf("Strategies() = %v, want %d names", names, len(strategy.All))
 	}
-	for pub, internal := range pairs {
-		if computeStrategy(pub) != internal {
-			t.Errorf("spillopt.%v maps to strategy.%v", pub, computeStrategy(pub))
+	for i, s := range strategy.All {
+		got, err := ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
 		}
-		if pub.String() != internal.String() {
-			t.Errorf("name drift: %q vs %q", pub, internal)
+		if names[i] != s.String() {
+			t.Errorf("Strategies()[%d] = %q, want %q", i, names[i], s.String())
 		}
+	}
+	const want = `spillopt: unknown strategy "best-effort" (have entry-exit, shrinkwrap, shrinkwrap-seed, hierarchical-exec, hierarchical-jump)`
+	if _, err := ParseStrategy("best-effort"); err == nil || err.Error() != want {
+		t.Errorf("ParseStrategy(best-effort) err = %v, want %s", err, want)
 	}
 }
 
@@ -103,7 +107,7 @@ func TestPlacementCostMatchesBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats[bench.Baseline]
+	st := res.Stats[EntryExit]
 	measured := st.Saves + st.Restores + st.JumpBlockJmps
 
 	p := allocated(t, src, 0)

@@ -36,51 +36,36 @@ import (
 	"repro/internal/vm"
 )
 
-// Strategy selects a callee-saved spill code placement technique.
-type Strategy int
+// Strategy selects a callee-saved spill code placement technique. It
+// is the internal strategy enum, so the facade, the evaluation harness
+// and the service share one vocabulary.
+type Strategy = strategy.Strategy
 
 const (
 	// EntryExit saves at procedure entry and restores at every exit
 	// (the paper's baseline).
-	EntryExit Strategy = iota
+	EntryExit = strategy.EntryExit
 	// Shrinkwrap is Chow's original technique: artificial data flow
 	// keeps spill code out of loops and off jump edges.
-	Shrinkwrap
+	Shrinkwrap = strategy.Shrinkwrap
 	// ShrinkwrapSeed is the paper's modified shrink-wrapping (no
 	// artificial data flow; spill code may sit on jump edges). It is
 	// the seed of the hierarchical algorithm, exposed for study.
-	ShrinkwrapSeed
+	ShrinkwrapSeed = strategy.ShrinkwrapSeed
 	// HierarchicalExec is the paper's algorithm under the execution
 	// count cost model (provably optimal, but ignores the jump
 	// instructions that jump blocks need).
-	HierarchicalExec
+	HierarchicalExec = strategy.HierarchicalExec
 	// HierarchicalJump is the paper's algorithm under the jump edge
 	// cost model — the configuration evaluated in the paper.
-	HierarchicalJump
+	HierarchicalJump = strategy.HierarchicalJump
 )
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case EntryExit:
-		return "entry-exit"
-	case Shrinkwrap:
-		return "shrinkwrap"
-	case ShrinkwrapSeed:
-		return "shrinkwrap-seed"
-	case HierarchicalExec:
-		return "hierarchical-exec"
-	case HierarchicalJump:
-		return "hierarchical-jump"
-	}
-	return "?"
-}
 
 // Strategies lists every strategy name in declaration order.
 func Strategies() []string {
 	out := make([]string, 0, len(strategy.All))
 	for _, s := range strategy.All {
-		out = append(out, Strategy(s).String())
+		out = append(out, s.String())
 	}
 	return out
 }
@@ -89,8 +74,8 @@ func Strategies() []string {
 // the Strategy, for tools that take the strategy as text.
 func ParseStrategy(name string) (Strategy, error) {
 	for _, s := range strategy.All {
-		if Strategy(s).String() == name {
-			return Strategy(s), nil
+		if s.String() == name {
+			return s, nil
 		}
 	}
 	return 0, fmt.Errorf("spillopt: unknown strategy %q (have %s)", name, strings.Join(Strategies(), ", "))
@@ -370,17 +355,12 @@ func (p *Program) Place(s Strategy) error {
 	// traversal, validation, apply) fans out across the pool. The
 	// machine description carries the cost surface the hierarchical
 	// strategies optimize.
-	if err := strategy.PlaceProgramFor(p.prog, computeStrategy(s), p.mach, p.Parallelism, p.cache); err != nil {
+	if err := strategy.PlaceProgram(p.prog, s, p.mach, p.Parallelism, p.cache); err != nil {
 		return err
 	}
 	p.placed = true
 	return nil
 }
-
-// computeStrategy maps the public enum to the shared dispatch in
-// internal/strategy. The two enums declare the same values in the same
-// order; the tests pin the correspondence.
-func computeStrategy(s Strategy) strategy.Strategy { return strategy.Strategy(s) }
 
 // AnalysisStats reports the shared analysis layer's activity: cache
 // lookups, per-analysis build counts, and how placement edits were
@@ -475,7 +455,7 @@ func (p *Program) PlacementCost(funcName string, s Strategy) (int64, error) {
 		// must price the aligned layout, not the parse-order one.
 		p.ensureAligned()
 	}
-	sets, err := strategy.ComputeCachedFor(f, computeStrategy(s), p.cache.For(f), p.mach)
+	sets, err := strategy.Compute(f, s, p.cache.For(f), p.mach)
 	if err != nil {
 		return 0, err
 	}
@@ -587,7 +567,7 @@ func (p *Program) Run(args ...int64) (*Result, error) {
 func (p *Program) runTiered(args []int64) (*Result, error) {
 	res, err := tier.Run(p.prog, tier.Config{
 		Machine:     p.mach,
-		Strategy:    computeStrategy(p.tierStrategy),
+		Strategy:    p.tierStrategy,
 		Quantum:     p.tierQuantum,
 		MaxSteps:    p.MaxSteps,
 		Parallelism: p.Parallelism,
