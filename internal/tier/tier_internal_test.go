@@ -12,6 +12,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/regalloc"
 	"repro/internal/strategy"
+	"repro/internal/vm"
 )
 
 // buildTestProgram hand-builds a two-procedure program with a hot
@@ -156,5 +157,76 @@ func TestStaticEqualProfileIsNoOp(t *testing.T) {
 	}
 	if got, want := irtext.Print(a), irtext.Print(b); got != want {
 		t.Errorf("static-equal tiering is not a no-op:\n-- tiered --\n%s\n-- static --\n%s", got, want)
+	}
+}
+
+// TestBoundaryMapsSplitEdgeCounts: at a tier boundary, every edge that
+// tier 0's placement split takes the count measured on its
+// From->jump-block half. The test replays tier 0 on a clone of the
+// same input — place, profile for the quantum, map the counts back
+// through the placement deltas' splits — and requires Run's final
+// program, printed edge weights included, to match the replay's.
+func TestBoundaryMapsSplitEdgeCounts(t *testing.T) {
+	mach := machine.PARISC()
+	const quantum = 1000
+	cfg := Config{Machine: mach, Strategy: strategy.HierarchicalExec, Quantum: quantum, Parallelism: 1, NoAlign: true}
+	src, err := os.ReadFile("testdata/noop.ir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := irtext.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile.EstimateProgramMachine(base, mach, nil)
+	if _, err := regalloc.AllocateProgramParallel(base, mach, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := base.Clone()
+
+	p0 := want.Clone()
+	corr, err := edgeCorrespondence(p0, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splitFrom := make(map[*ir.Edge]*ir.Edge)
+	for _, f := range strategy.NeedsPlacement(p0) {
+		delta, err := strategy.Place(f, cfg.Strategy, nil, cfg.Machine)
+		if err != nil {
+			t.Fatalf("tier-0 placement: %s: %v", f.Name, err)
+		}
+		for _, s := range delta.Splits {
+			splitFrom[s.OldEdge] = s.FromEdge
+		}
+	}
+	if len(splitFrom) == 0 {
+		t.Fatal("tier 0 split no edges; the mapping check is vacuous")
+	}
+	st0, _, completed, err := profile.CollectPartial(p0, vm.Config{Machine: mach, MaxSteps: quantum}, 7)
+	if err != nil || completed {
+		t.Fatalf("tier-0 replay: completed=%v err=%v; want a boundary", completed, err)
+	}
+	for e0, e := range corr {
+		e.Weight = e0.Weight
+		if fe := splitFrom[e0]; fe != nil {
+			e.Weight = fe.Weight
+		}
+	}
+	for _, f := range want.FuncsInOrder() {
+		f.EntryCount = st0.Calls[f.Name]
+	}
+	if err := alignAndPlace(want, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Run(base, cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Boundary {
+		t.Fatal("Run hit no boundary")
+	}
+	if got, want := irtext.Print(res.Final), irtext.Print(want); got != want {
+		t.Errorf("tiered program differs from the tier-0 replay:\n-- Run --\n%s\n-- replay --\n%s", got, want)
 	}
 }
