@@ -20,7 +20,8 @@
 // (machine preset, strategy) pair and the analysis build counters that
 // prove the sweep shares analyses across presets; the analysis gate
 // compares the cold-over-incremental re-placement speedup (host speed
-// cancels), its absolute 3x floor, and the zero-full-rebuild property
+// cancels), the incremental path's absolute overhead ceiling over a
+// warm re-placement, and the zero-full-rebuild property
 // of the delta patchers; the serve gate re-runs the in-process loadgen
 // sweep and compares the cached-over-cold speedup (5x absolute floor),
 // the deterministic cache hit counters, and the analysis cache's
@@ -122,8 +123,8 @@ func main() {
 		if *inject > 0 {
 			bench.InjectAnalysisRegression(fresh, *inject)
 		}
-		fmt.Printf("analysis: committed incremental speedup %.2fx, fresh %.2fx (shared %.2fx, rebuild fallbacks %d)\n",
-			committed.IncrementalSpeedup, fresh.IncrementalSpeedup, fresh.SharedSpeedup, fresh.Rebuilds)
+		fmt.Printf("analysis: committed incremental speedup %.2fx, fresh %.2fx (shared %.2fx, incremental overhead %.2fx of shared, rebuild fallbacks %d)\n",
+			committed.IncrementalSpeedup, fresh.IncrementalSpeedup, fresh.SharedSpeedup, fresh.IncrementalOverhead, fresh.Rebuilds)
 		dumpFresh(*writeFresh, "BENCH_analysis.fresh.json", fresh)
 		findings = append(findings, bench.CompareAnalysis(&committed, fresh, *threshold)...)
 	}

@@ -224,8 +224,8 @@ func main() {
 		}
 		fmt.Printf("%-10s %10.3fms %10.3fms %10.3fms\n", "Total",
 			float64(rec.ColdNs)/1e6, float64(rec.SharedNs)/1e6, float64(rec.IncrementalNs)/1e6)
-		fmt.Printf("speedup over cold: shared %.2fx, incremental %.2fx; full-rebuild fallbacks: %d\n",
-			rec.SharedSpeedup, rec.IncrementalSpeedup, rec.Rebuilds)
+		fmt.Printf("speedup over cold: shared %.2fx, incremental %.2fx; incremental overhead over shared %.2fx; full-rebuild fallbacks: %d\n",
+			rec.SharedSpeedup, rec.IncrementalSpeedup, rec.IncrementalOverhead, rec.Rebuilds)
 		if *jsonOut != "" {
 			data, err := rec.JSON()
 			if err != nil {

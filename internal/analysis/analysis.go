@@ -51,6 +51,19 @@ type Counts struct {
 	DeltaFull    int
 }
 
+// Add adds every counter of d to c.
+func (c *Counts) Add(d Counts) {
+	c.Liveness += d.Liveness
+	c.Dom += d.Dom
+	c.Loops += d.Loops
+	c.PST += d.PST
+	c.Seed += d.Seed
+	c.Busy += d.Busy
+	c.SplitDom += d.SplitDom
+	c.DeltaPatched += d.DeltaPatched
+	c.DeltaFull += d.DeltaFull
+}
+
 // Info is a per-function handle over the memoized analyses.
 type Info struct {
 	f *ir.Func

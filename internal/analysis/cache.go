@@ -72,16 +72,7 @@ func (c *Cache) Counts() Counts {
 	c.mu.Unlock()
 	var total Counts
 	for _, info := range infos {
-		n := info.Counts()
-		total.Liveness += n.Liveness
-		total.Dom += n.Dom
-		total.Loops += n.Loops
-		total.PST += n.PST
-		total.Seed += n.Seed
-		total.Busy += n.Busy
-		total.SplitDom += n.SplitDom
-		total.DeltaPatched += n.DeltaPatched
-		total.DeltaFull += n.DeltaFull
+		total.Add(info.Counts())
 	}
 	return total
 }

@@ -56,7 +56,7 @@ func compareLiveness(t *testing.T, tag string, got, want *dataflow.Liveness) {
 	}
 }
 
-func compareDom(t *testing.T, tag string, got, want *cfg.DomTree) {
+func compareDom(t *testing.T, tag string, f *ir.Func, got, want *cfg.DomTree) {
 	t.Helper()
 	if len(got.IDom) != len(want.IDom) {
 		t.Errorf("%s: patched dom tree covers %d blocks, from-scratch %d", tag, len(got.IDom), len(want.IDom))
@@ -70,6 +70,18 @@ func compareDom(t *testing.T, tag string, got, want *cfg.DomTree) {
 		if !sameBlockSlice(got.Children[i], want.Children[i]) {
 			t.Errorf("%s: patched dom children of block %d differ from from-scratch", tag, i)
 			return
+		}
+	}
+	for _, b := range f.Blocks {
+		if got.Level(b) != want.Level(b) {
+			t.Errorf("%s: patched dom level of %s is %d, from-scratch %d", tag, b.Name, got.Level(b), want.Level(b))
+			return
+		}
+		for _, a := range f.Blocks {
+			if got.Dominates(a, b) != want.Dominates(a, b) {
+				t.Errorf("%s: patched Dominates(%s, %s) differs from from-scratch", tag, a.Name, b.Name)
+				return
+			}
 		}
 	}
 }
@@ -213,7 +225,7 @@ func checkIdentityAfterSets(t *testing.T, tag string, f *ir.Func, sets []*core.S
 		t.Fatalf("%s: from-scratch PST: %v", tag, errF)
 	}
 	compareLiveness(t, tag, lvP, lvF)
-	compareDom(t, tag, domP, domF)
+	compareDom(t, tag, f, domP, domF)
 	compareLoops(t, tag, loopsP, loopsF)
 	comparePST(t, tag, treeP, treeF)
 	compareSets(t, tag, info.ShrinkwrapSeed(), analysis.For(f).ShrinkwrapSeed())

@@ -35,13 +35,15 @@ type AnalysisBench struct {
 	GoVersion  string           `json:"go_version"`
 	GOARCH     string           `json:"goarch"`
 	Date       string           `json:"date"`
-	// Suite totals and the host-independent speedup ratios the gate
-	// compares: cold over shared and cold over incremental.
-	ColdNs             int64   `json:"cold_ns"`
-	SharedNs           int64   `json:"shared_ns"`
-	IncrementalNs      int64   `json:"incremental_ns"`
-	SharedSpeedup      float64 `json:"shared_speedup"`
-	IncrementalSpeedup float64 `json:"incremental_speedup"`
+	// Suite totals and the host-independent ratios the gate compares:
+	// cold over shared, cold over incremental, and incremental over
+	// shared (the delta path's overhead over a warm traversal).
+	ColdNs              int64   `json:"cold_ns"`
+	SharedNs            int64   `json:"shared_ns"`
+	IncrementalNs       int64   `json:"incremental_ns"`
+	SharedSpeedup       float64 `json:"shared_speedup"`
+	IncrementalSpeedup  float64 `json:"incremental_speedup"`
+	IncrementalOverhead float64 `json:"incremental_overhead"`
 	// Rebuilds counts functions whose incremental re-placement fell
 	// back to a full analysis rebuild; 0 in a healthy tree.
 	Rebuilds int `json:"rebuilds"`
@@ -103,6 +105,7 @@ func BenchAnalysis(suite []workload.BenchParams, reps int) (*AnalysisBench, erro
 	}
 	if out.SharedNs > 0 {
 		out.SharedSpeedup = float64(out.ColdNs) / float64(out.SharedNs)
+		out.IncrementalOverhead = float64(out.IncrementalNs) / float64(out.SharedNs)
 	}
 	if out.IncrementalNs > 0 {
 		out.IncrementalSpeedup = float64(out.ColdNs) / float64(out.IncrementalNs)

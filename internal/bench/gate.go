@@ -152,7 +152,7 @@ func CompareSweep(committed, fresh *SweepRecord, thresholdPct float64) []string 
 			count int
 		}{
 			{"liveness", b.Liveness}, {"dom", b.Dom}, {"loops", b.Loops},
-			{"pst", b.PST}, {"seed", b.Seed},
+			{"pst", b.PST}, {"splitdom", b.SplitDom}, {"seed", b.Seed},
 		} {
 			if c.count > n {
 				findings = append(findings, fmt.Sprintf(
@@ -180,15 +180,26 @@ func compareCount(where, what string, committed, fresh int64, thresholdPct float
 	return nil
 }
 
+// AnalysisOverheadCeiling bounds incremental re-placement against a
+// fully warm one (IncrementalOverhead): the cost of patching the
+// analyses in place and rebuilding the shrink-wrap seed, relative to
+// the hierarchical traversal alone. Set from measurement on the SPEC
+// stand-ins (2-vCPU x86-64 VM, min of 5 reps per benchmark): a healthy
+// delta path read 4.45-5.69x; an ApplyDelta that falls back to a full
+// rebuild, PST included, read 12.3-13.3x. A fallback that only
+// invalidates keeps the PST builder's memo and read 5.56-6.74x, too
+// close to healthy for a ratio to tell apart; Rebuilds catches it.
+const AnalysisOverheadCeiling = 8.0
+
 // CompareAnalysis diffs a fresh analysis-layer benchmark against the
 // committed record. Absolute nanoseconds depend on the host, so the
 // gate compares host-independent quantities:
 //
-//   - incremental re-placement must stay at least 3x faster than cold
-//     re-placement (the floor the delta layer is built to clear);
+//   - incremental re-placement may cost at most AnalysisOverheadCeiling
+//     times a warm re-placement (both run on the same host in the same
+//     process, so host speed cancels);
 //   - the cold-over-incremental speedup must not regress more than
-//     thresholdPct percent below the committed ratio (both paths run
-//     on the same host in the same process, so host speed cancels);
+//     thresholdPct percent below the committed ratio;
 //   - no function's incremental re-placement may fall back to a full
 //     rebuild — that means a placement edit the patchers stopped
 //     recognizing.
@@ -199,10 +210,10 @@ func CompareAnalysis(committed, fresh *AnalysisBench, thresholdPct float64) []st
 			"analysis: %d incremental re-placements fell back to full rebuilds — ApplyDelta stopped recognizing placement edits",
 			fresh.Rebuilds))
 	}
-	if fresh.IncrementalSpeedup < 3 {
+	if fresh.IncrementalOverhead > AnalysisOverheadCeiling {
 		findings = append(findings, fmt.Sprintf(
-			"analysis: incremental re-placement only %.2fx faster than cold, below the 3x floor",
-			fresh.IncrementalSpeedup))
+			"analysis: incremental re-placement costs %.2fx a warm one, above the %.1fx ceiling",
+			fresh.IncrementalOverhead, AnalysisOverheadCeiling))
 	}
 	if committed.IncrementalSpeedup > 0 {
 		floor := committed.IncrementalSpeedup * (1 - thresholdPct/100)

@@ -264,17 +264,19 @@ func analysisRecord(incSpeedup float64) *AnalysisBench {
 		Benchmarks: []AnalysisRecord{
 			{Benchmark: "gzip", Functions: 40, ColdNs: 40_000_000, SharedNs: 9_000_000, IncrementalNs: int64(40_000_000 / incSpeedup)},
 		},
-		ColdNs:             40_000_000,
-		SharedNs:           9_000_000,
-		IncrementalNs:      int64(40_000_000 / incSpeedup),
-		SharedSpeedup:      40.0 / 9.0,
-		IncrementalSpeedup: incSpeedup,
+		ColdNs:              40_000_000,
+		SharedNs:            9_000_000,
+		IncrementalNs:       int64(40_000_000 / incSpeedup),
+		SharedSpeedup:       40.0 / 9.0,
+		IncrementalSpeedup:  incSpeedup,
+		IncrementalOverhead: 40.0 / incSpeedup / 9.0,
 	}
 }
 
 // TestGateAnalysisSpeedup: the analysis gate trips when the incremental
-// re-placement speedup regresses past the threshold or drops below the
-// absolute 3x floor, and stays quiet on a healthy record.
+// re-placement speedup regresses past the threshold or the incremental
+// path's overhead over a warm re-placement rises above the absolute
+// ceiling, and stays quiet on a healthy record.
 func TestGateAnalysisSpeedup(t *testing.T) {
 	committed := analysisRecord(8)
 	if findings := CompareAnalysis(committed, analysisRecord(7.5), 15); len(findings) != 0 {
@@ -283,13 +285,44 @@ func TestGateAnalysisSpeedup(t *testing.T) {
 	if findings := CompareAnalysis(committed, analysisRecord(5), 15); len(findings) == 0 {
 		t.Error("37% ratio drop passed a 15% gate")
 	}
-	if findings := CompareAnalysis(committed, analysisRecord(2.5), 15); len(findings) == 0 {
-		t.Error("speedup below the 3x floor passed the gate")
+	slow := analysisRecord(8)
+	slow.IncrementalOverhead = AnalysisOverheadCeiling + 0.1
+	if findings := CompareAnalysis(committed, slow, 15); len(findings) == 0 {
+		t.Error("incremental overhead above the ceiling passed the gate")
 	}
 	fresh := analysisRecord(8)
 	InjectAnalysisRegression(fresh, 20)
 	if findings := CompareAnalysis(committed, fresh, 15); len(findings) == 0 {
 		t.Error("injected 20% analysis regression passed a 15% gate")
+	}
+}
+
+// TestCommittedAnalysisRecord: the committed BENCH_analysis.json must
+// pass its own gate — its ratios follow from its totals, its
+// incremental overhead sits under AnalysisOverheadCeiling, and it
+// records no rebuild fallbacks — so the record and the ceiling cannot
+// drift apart.
+func TestCommittedAnalysisRecord(t *testing.T) {
+	var rec AnalysisBench
+	readRecord(t, "../../BENCH_analysis.json", &rec)
+	if rec.SharedNs <= 0 || rec.IncrementalNs <= 0 {
+		t.Fatalf("record totals missing: %+v", rec)
+	}
+	ratios := []struct {
+		name      string
+		got, want float64
+	}{
+		{"shared_speedup", rec.SharedSpeedup, float64(rec.ColdNs) / float64(rec.SharedNs)},
+		{"incremental_speedup", rec.IncrementalSpeedup, float64(rec.ColdNs) / float64(rec.IncrementalNs)},
+		{"incremental_overhead", rec.IncrementalOverhead, float64(rec.IncrementalNs) / float64(rec.SharedNs)},
+	}
+	for _, r := range ratios {
+		if math.Abs(r.got-r.want) > 1e-9*r.want {
+			t.Errorf("%s = %v, want %v from the totals", r.name, r.got, r.want)
+		}
+	}
+	if findings := CompareAnalysis(&rec, &rec, 30); len(findings) != 0 {
+		t.Errorf("committed record fails its own gate: %v", findings)
 	}
 }
 
@@ -340,7 +373,7 @@ func TestBenchAnalysisEndToEnd(t *testing.T) {
 	if len(b.Benchmarks) != len(suite) {
 		t.Errorf("record covers %d benchmarks, suite has %d", len(b.Benchmarks), len(suite))
 	}
-	if findings := CompareAnalysis(b, b, 15); b.IncrementalSpeedup >= 3 && len(findings) != 0 {
+	if findings := CompareAnalysis(b, b, 15); b.IncrementalOverhead <= AnalysisOverheadCeiling && len(findings) != 0 {
 		t.Errorf("self-comparison produced findings: %v", findings)
 	}
 	if _, err := b.JSON(); err != nil {

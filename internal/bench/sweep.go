@@ -143,12 +143,7 @@ func RunSweep(entries []Entry, machines []*machine.Desc, opts Options) (*Sweep, 
 	sw := &Sweep{Machines: machines}
 	for _, ev := range evs {
 		sw.Results = append(sw.Results, ev.SweepBench)
-		sw.Builds.Liveness += ev.builds.Liveness
-		sw.Builds.Dom += ev.builds.Dom
-		sw.Builds.Loops += ev.builds.Loops
-		sw.Builds.PST += ev.builds.PST
-		sw.Builds.Seed += ev.builds.Seed
-		sw.Builds.Busy += ev.builds.Busy
+		sw.Builds.Add(ev.builds)
 		sw.Functions += ev.funcs
 	}
 	return sw, nil

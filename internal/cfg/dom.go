@@ -8,10 +8,12 @@ import (
 	"repro/internal/ir"
 )
 
-// DomTree holds an (immediate-)dominator tree computed by the
-// iterative Cooper-Harvey-Kennedy algorithm. It serves for both
-// dominance (over the forward CFG) and postdominance (over the
-// reverse CFG with a virtual exit).
+// DomTree holds an (immediate-)dominator tree of a function's blocks.
+// It serves for both dominance (over the forward CFG) and
+// postdominance (over the reverse CFG with a virtual exit). It is
+// computed by the same iteration as NodeDominators, over the
+// function's integer graph, and answers Dominates in O(1) from the
+// tree's preorder intervals.
 type DomTree struct {
 	// IDom[b.ID] is the immediate dominator of b, or nil for the root
 	// and for nodes unreachable in the direction analyzed.
@@ -19,15 +21,17 @@ type DomTree struct {
 	// Children[b.ID] lists blocks immediately dominated by b.
 	Children [][]*ir.Block
 	root     *ir.Block
-	// level[b.ID] is the depth of b in the dominator tree.
-	level []int
-	post  bool // true if this is a postdominator tree
+	num      []span
+	post     bool // true if this is a postdominator tree
 }
 
 // Dominators computes the dominator tree of f rooted at the entry.
 func Dominators(f *ir.Func) *DomTree {
-	order := ReversePostorder(f)
-	return buildDomTree(f, f.Entry, order, false)
+	from, to := funcEdges(f, 0)
+	idom, order := chk(NewGraph(len(f.Blocks), from, to), f.Entry.ID)
+	t := &DomTree{root: f.Entry}
+	t.finish(f, idom, order)
+	return t
 }
 
 // Postdominators computes the postdominator tree of f. Functions with
@@ -37,20 +41,65 @@ func Dominators(f *ir.Func) *DomTree {
 // of its own subtree under the virtual exit). Blocks from which no
 // exit is reachable (infinite loops) get nil as well.
 func Postdominators(f *ir.Func) *DomTree {
-	exits := f.Exits()
-	if len(exits) == 1 {
-		order := reversePostorderFrom(f, exits[0], true)
-		return buildDomTreeDir(f, exits[0], order, true)
+	n := len(f.Blocks)
+	// The reverse CFG (every edge swapped) plus a virtual exit, node
+	// n, with an edge to every exit block.
+	to, from := funcEdges(f, n)
+	for _, b := range f.Blocks {
+		if b.IsExit() {
+			from = append(from, int32(n))
+			to = append(to, int32(b.ID))
+		}
 	}
-	// Multiple or zero exits: compute with a virtual root. We run the
-	// CHK iteration treating all exits as roots (idom fixed to nil).
-	return buildMultiRootPostdom(f, exits)
+	idom, order := chk(NewGraph(n+1, from, to), n)
+	idom = idom[:n]
+	for i, d := range idom {
+		if d == int32(n) {
+			idom[i] = -1
+		}
+	}
+	t := &DomTree{post: true}
+	t.finish(f, idom, order[1:]) // order[0] is the virtual exit
+	return t
+}
+
+// funcEdges lists f's CFG edges as parallel (from, to) block-ID
+// slices with room for extra more.
+func funcEdges(f *ir.Func, extra int) (from, to []int32) {
+	m := extra
+	for _, b := range f.Blocks {
+		m += len(b.Succs)
+	}
+	from, to = make([]int32, 0, m), make([]int32, 0, m)
+	for _, b := range f.Blocks {
+		for _, e := range b.Succs {
+			from = append(from, int32(b.ID))
+			to = append(to, int32(e.To.ID))
+		}
+	}
+	return from, to
 }
 
 // ReversePostorder returns the blocks of f in reverse postorder of a
 // DFS from the entry over forward edges.
 func ReversePostorder(f *ir.Func) []*ir.Block {
-	return reversePostorderFrom(f, f.Entry, false)
+	seen := make([]bool, len(f.Blocks))
+	var post []*ir.Block
+	var dfs func(b *ir.Block)
+	dfs = func(b *ir.Block) {
+		seen[b.ID] = true
+		for _, e := range b.Succs {
+			if !seen[e.To.ID] {
+				dfs(e.To)
+			}
+		}
+		post = append(post, b)
+	}
+	dfs(f.Entry)
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
 }
 
 // Postorder returns the blocks in postorder of a DFS from the entry.
@@ -63,270 +112,40 @@ func Postorder(f *ir.Func) []*ir.Block {
 	return out
 }
 
-func reversePostorderFrom(f *ir.Func, root *ir.Block, reverse bool) []*ir.Block {
-	seen := make([]bool, len(f.Blocks))
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b.ID] = true
-		if reverse {
-			for _, e := range b.Preds {
-				if !seen[e.From.ID] {
-					dfs(e.From)
-				}
-			}
-		} else {
-			for _, e := range b.Succs {
-				if !seen[e.To.ID] {
-					dfs(e.To)
-				}
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(root)
-	// Reverse in place.
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
-func buildDomTree(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *DomTree {
-	return buildDomTreeDir(f, root, order, post)
-}
-
-// buildDomTreeDir runs the Cooper-Harvey-Kennedy iterative dominance
-// algorithm over the given traversal order. If post is true, edges are
-// walked in reverse (predecessors become successors).
-func buildDomTreeDir(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *DomTree {
+// finish sets the tree from idom (block IDs, -1 for none): the IDom
+// pointers, Children in layout order, and the preorder numbering
+// behind Dominates and Level. order is as numberForest takes it.
+func (t *DomTree) finish(f *ir.Func, idom, order []int32) {
 	n := len(f.Blocks)
-	t := &DomTree{
-		IDom:     make([]*ir.Block, n),
-		Children: make([][]*ir.Block, n),
-		root:     root,
-		level:    make([]int, n),
-		post:     post,
-	}
-	// rpoNum[b.ID] = position in order; lower = closer to root.
-	rpoNum := make([]int, n)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, b := range order {
-		rpoNum[b.ID] = i
-	}
-	t.IDom[root.ID] = root // temporarily self, per CHK
-	intersect := func(b1, b2 *ir.Block) *ir.Block {
-		for b1 != b2 {
-			for rpoNum[b1.ID] > rpoNum[b2.ID] {
-				b1 = t.IDom[b1.ID]
-			}
-			for rpoNum[b2.ID] > rpoNum[b1.ID] {
-				b2 = t.IDom[b2.ID]
-			}
-		}
-		return b1
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range order {
-			if b == root {
-				continue
-			}
-			var newIDom *ir.Block
-			preds := predsDir(b, post)
-			for _, p := range preds {
-				if rpoNum[p.ID] < 0 || t.IDom[p.ID] == nil {
-					continue // unreachable or unprocessed
-				}
-				if newIDom == nil {
-					newIDom = p
-				} else {
-					newIDom = intersect(p, newIDom)
-				}
-			}
-			if newIDom != nil && t.IDom[b.ID] != newIDom {
-				t.IDom[b.ID] = newIDom
-				changed = true
-			}
+	t.IDom = make([]*ir.Block, n)
+	t.Children = make([][]*ir.Block, n)
+	nkids := make([]int32, n)
+	for _, d := range idom {
+		if d >= 0 {
+			nkids[d]++
 		}
 	}
-	t.IDom[root.ID] = nil
-	t.finish(f)
-	return t
-}
-
-// buildMultiRootPostdom handles postdominance with several (or zero)
-// exit blocks by making each exit a root.
-func buildMultiRootPostdom(f *ir.Func, exits []*ir.Block) *DomTree {
-	n := len(f.Blocks)
-	t := &DomTree{
-		IDom:     make([]*ir.Block, n),
-		Children: make([][]*ir.Block, n),
-		level:    make([]int, n),
-		post:     true,
-	}
-	if len(exits) == 0 {
-		t.finish(f)
-		return t
-	}
-	// Build a combined reverse-DFS order from all exits.
-	seen := make([]bool, n)
-	var postOrd []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b.ID] = true
-		for _, e := range b.Preds {
-			if !seen[e.From.ID] {
-				dfs(e.From)
-			}
-		}
-		postOrd = append(postOrd, b)
-	}
-	for _, x := range exits {
-		if !seen[x.ID] {
-			dfs(x)
-		}
-	}
-	order := make([]*ir.Block, len(postOrd))
-	for i, b := range postOrd {
-		order[len(postOrd)-1-i] = b
-	}
-	rpoNum := make([]int, n)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, b := range order {
-		rpoNum[b.ID] = i
-	}
-	isExit := make([]bool, n)
-	for _, x := range exits {
-		isExit[x.ID] = true
-		t.IDom[x.ID] = x
-	}
-	intersect := func(b1, b2 *ir.Block) *ir.Block {
-		for b1 != b2 {
-			for rpoNum[b1.ID] > rpoNum[b2.ID] {
-				nxt := t.IDom[b1.ID]
-				if nxt == b1 {
-					return nil // reached a root
-				}
-				b1 = nxt
-			}
-			for rpoNum[b2.ID] > rpoNum[b1.ID] {
-				nxt := t.IDom[b2.ID]
-				if nxt == b2 {
-					return nil
-				}
-				b2 = nxt
-			}
-		}
-		return b1
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range order {
-			if isExit[b.ID] {
-				continue
-			}
-			var newIDom *ir.Block
-			merged := false
-			for _, e := range b.Succs {
-				s := e.To
-				if rpoNum[s.ID] < 0 || t.IDom[s.ID] == nil {
-					continue
-				}
-				if newIDom == nil {
-					newIDom = s
-					continue
-				}
-				m := intersect(s, newIDom)
-				if m == nil {
-					// Successors postdominated by different exits:
-					// only the virtual exit postdominates b.
-					merged = true
-					break
-				}
-				newIDom = m
-			}
-			if merged {
-				if t.IDom[b.ID] != b {
-					t.IDom[b.ID] = b // self marks "virtual exit is idom"
-					changed = true
-				}
-				continue
-			}
-			if newIDom != nil && t.IDom[b.ID] != newIDom {
-				t.IDom[b.ID] = newIDom
-				changed = true
-			}
-		}
-	}
-	// Normalize: self-idom means immediate postdominator is the
-	// virtual exit, which we encode as nil.
-	for i := range t.IDom {
-		if t.IDom[i] == f.Blocks[i] {
-			t.IDom[i] = nil
-		}
-	}
-	t.finish(f)
-	return t
-}
-
-func predsDir(b *ir.Block, post bool) []*ir.Block {
-	var out []*ir.Block
-	if post {
-		for _, e := range b.Succs {
-			out = append(out, e.To)
-		}
-	} else {
-		for _, e := range b.Preds {
-			out = append(out, e.From)
-		}
-	}
-	return out
-}
-
-// finish populates Children and level from IDom.
-func (t *DomTree) finish(f *ir.Func) {
+	kids := make([]*ir.Block, 0, n)
 	for _, b := range f.Blocks {
-		if d := t.IDom[b.ID]; d != nil {
-			t.Children[d.ID] = append(t.Children[d.ID], b)
+		if d := idom[b.ID]; d >= 0 {
+			t.IDom[b.ID] = f.Blocks[d]
+			if t.Children[d] == nil {
+				// One backing array; each child list is capped at its
+				// own length so appending to one cannot clobber the next.
+				k := len(kids)
+				kids = kids[:k+int(nkids[d])]
+				t.Children[d] = kids[k:k:len(kids)]
+			}
+			t.Children[d] = append(t.Children[d], b)
 		}
 	}
-	// Levels via BFS from roots (blocks with nil idom).
-	var queue []*ir.Block
-	for _, b := range f.Blocks {
-		if t.IDom[b.ID] == nil {
-			t.level[b.ID] = 0
-			queue = append(queue, b)
-		}
-	}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
-		for _, c := range t.Children[b.ID] {
-			t.level[c.ID] = t.level[b.ID] + 1
-			queue = append(queue, c)
-		}
-	}
+	t.num = numberForest(idom, order)
 }
 
 // Dominates reports whether a dominates b (reflexively). For a
-// postdominator tree this means "a postdominates b". Blocks whose
-// chains terminate at different roots are unrelated.
-func (t *DomTree) Dominates(a, b *ir.Block) bool {
-	for b != nil {
-		if a == b {
-			return true
-		}
-		b = t.IDom[b.ID]
-	}
-	return false
-}
+// postdominator tree this means "a postdominates b". Blocks in
+// different trees of the forest are unrelated.
+func (t *DomTree) Dominates(a, b *ir.Block) bool { return dominates(t.num, a.ID, b.ID) }
 
 // StrictlyDominates reports a dominates b and a != b.
 func (t *DomTree) StrictlyDominates(a, b *ir.Block) bool {
@@ -334,4 +153,215 @@ func (t *DomTree) StrictlyDominates(a, b *ir.Block) bool {
 }
 
 // Level returns b's depth in the tree (0 for roots).
-func (t *DomTree) Level(b *ir.Block) int { return t.level[b.ID] }
+func (t *DomTree) Level(b *ir.Block) int { return int(t.num[b.ID].level) }
+
+// Graph is a directed graph over the nodes 0..n-1, with successor
+// and predecessor lists in compressed sparse row form.
+type Graph struct {
+	succOff, succ []int32
+	predOff, pred []int32
+}
+
+// NewGraph builds the graph on n nodes with the edges from[i]->to[i].
+// Each node's successor and predecessor lists keep the edges' order.
+func NewGraph(n int, from, to []int32) *Graph {
+	g := &Graph{}
+	g.succOff, g.succ = csr(n, from, to)
+	g.predOff, g.pred = csr(n, to, from)
+	return g
+}
+
+// csr groups dst by src: node v's list is adj[off[v]:off[v+1]].
+func csr(n int, src, dst []int32) (off, adj []int32) {
+	off = make([]int32, n+1)
+	for _, s := range src {
+		off[s+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	adj = make([]int32, len(src))
+	for i, s := range src {
+		adj[off[s]] = dst[i]
+		off[s]++
+	}
+	// off[v] now ends v's list; shift it back to start it.
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, adj
+}
+
+func (g *Graph) numNodes() int { return len(g.succOff) - 1 }
+
+func (g *Graph) preds(v int) []int32 { return g.pred[g.predOff[v]:g.predOff[v+1]] }
+
+// Reverse returns the graph with every edge reversed. It shares g's
+// storage.
+func (g *Graph) Reverse() *Graph {
+	return &Graph{succOff: g.predOff, succ: g.pred, predOff: g.succOff, pred: g.succ}
+}
+
+// reversePostorder returns the nodes reachable from root in reverse
+// postorder of a DFS over successors.
+func (g *Graph) reversePostorder(root int) []int32 {
+	seen := make([]bool, g.numNodes())
+	post := make([]int32, 0, g.numNodes())
+	type frame struct{ v, next int32 }
+	stack := []frame{{int32(root), g.succOff[root]}}
+	seen[root] = true
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < g.succOff[top.v+1] {
+			w := g.succ[top.next]
+			top.next++
+			if !seen[w] {
+				seen[w] = true
+				stack = append(stack, frame{w, g.succOff[w]})
+			}
+			continue
+		}
+		post = append(post, top.v)
+		stack = stack[:len(stack)-1]
+	}
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
+}
+
+// NodeDom is a dominator tree over a Graph's nodes.
+type NodeDom struct {
+	// IDom[v] is v's immediate dominator, or -1 for the root and for
+	// nodes unreachable from it.
+	IDom []int32
+	num  []span
+}
+
+// NodeDominators computes the dominator tree of g rooted at root.
+// Postdominators are the dominators of g.Reverse() rooted at the exit.
+func NodeDominators(g *Graph, root int) *NodeDom {
+	idom, order := chk(g, root)
+	return &NodeDom{IDom: idom, num: numberForest(idom, order)}
+}
+
+// chk computes immediate dominators with the iterative
+// Cooper-Harvey-Kennedy algorithm: idom[v] is v's immediate dominator,
+// -1 for the root and for nodes unreachable from it. It also returns
+// the reverse postorder of the reachable nodes, in which every node's
+// immediate dominator precedes it.
+func chk(g *Graph, root int) (idom, order []int32) {
+	order = g.reversePostorder(root)
+	// rpo[v] is v's position in order, -1 when unreachable. The
+	// iteration runs on positions: doms[i] is the position of the
+	// immediate dominator of order[i], -1 while unknown.
+	rpo := make([]int32, g.numNodes())
+	for i := range rpo {
+		rpo[i] = -1
+	}
+	for i, v := range order {
+		rpo[v] = int32(i)
+	}
+	doms := make([]int32, len(order))
+	for i := range doms {
+		doms[i] = -1
+	}
+	doms[0] = 0
+	for changed := true; changed; {
+		changed = false
+		for i := 1; i < len(order); i++ {
+			nd := int32(-1)
+			for _, p := range g.preds(int(order[i])) {
+				a := rpo[p]
+				if a < 0 || doms[a] < 0 {
+					continue // unreachable or unprocessed
+				}
+				if nd >= 0 {
+					b := nd
+					for a != b {
+						for a > b {
+							a = doms[a]
+						}
+						for b > a {
+							b = doms[b]
+						}
+					}
+				}
+				nd = a
+			}
+			if nd >= 0 && doms[i] != nd {
+				doms[i] = nd
+				changed = true
+			}
+		}
+	}
+	// rpo is dead from here on; reuse it for the result.
+	idom = rpo
+	for i := range idom {
+		idom[i] = -1
+	}
+	for i := 1; i < len(order); i++ {
+		idom[order[i]] = order[doms[i]]
+	}
+	return idom, order
+}
+
+// Dominates reports whether a dominates b (reflexively).
+func (d *NodeDom) Dominates(a, b int) bool { return dominates(d.num, a, b) }
+
+// Level returns v's depth in the tree (0 for the root and for
+// unreachable nodes).
+func (d *NodeDom) Level(v int) int { return int(d.num[v].level) }
+
+// span is a node's place in a preorder numbering of a dominator
+// forest: its own number, the last number in its subtree, and its
+// depth.
+type span struct{ pre, last, level int32 }
+
+// dominates is the interval test: a dominates b iff b's preorder
+// number falls inside a's subtree.
+func dominates(num []span, a, b int) bool {
+	sa, pb := num[a], num[b].pre
+	return sa.pre <= pb && pb <= sa.last
+}
+
+// numberForest numbers the forest given by idom (-1 marks a root) in
+// preorder. order lists nodes so that each one's immediate dominator
+// precedes it; nodes missing from it must be roots without children
+// (unreachable ones).
+func numberForest(idom, order []int32) []span {
+	// Subtree sizes, accumulated children first.
+	size := make([]int32, len(idom))
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		size[v]++
+		if d := idom[v]; d >= 0 {
+			size[d] += size[v]
+		}
+	}
+	// A root takes the next free range; a child takes the next free
+	// range inside its parent's. Once v is numbered, size[v] becomes
+	// the cursor at which v's next child starts.
+	num := make([]span, len(idom))
+	next := int32(0)
+	for _, v := range order {
+		var s span
+		if d := idom[v]; d < 0 {
+			s.pre = next
+			next += size[v]
+		} else {
+			s.pre = size[d]
+			s.level = num[d].level + 1
+			size[d] += size[v]
+		}
+		s.last = s.pre + size[v] - 1
+		num[v] = s
+		size[v] = s.pre + 1
+	}
+	for v, sz := range size {
+		if sz == 0 {
+			num[v] = span{pre: next, last: next}
+			next++
+		}
+	}
+	return num
+}

@@ -37,9 +37,11 @@ func (t *DomTree) PatchEdgeSplits(f *ir.Func, oldID map[*ir.Block]int, splits []
 	}
 
 	// Re-index the immediate dominators from old IDs to new IDs. The
-	// values are block pointers, so the pre-edit chains stay walkable.
-	idom := make([]*ir.Block, n)
+	// carried-over values are block pointers, which already hold their
+	// post-edit IDs.
+	idom := make([]int32, n)
 	for _, b := range f.Blocks {
+		idom[b.ID] = -1
 		if _, isNew := newFrom[b]; isNew {
 			continue
 		}
@@ -47,23 +49,19 @@ func (t *DomTree) PatchEdgeSplits(f *ir.Func, oldID map[*ir.Block]int, splits []
 		if !ok || id < 0 || id >= len(t.IDom) {
 			return false
 		}
-		idom[b.ID] = t.IDom[id]
+		if d := t.IDom[id]; d != nil {
+			idom[b.ID] = int32(d.ID)
+		}
 	}
 
-	// dominatesOld answers "did a dominate b before the edit" by
-	// walking the carried-over chains. A new block stands exactly where
-	// its From stood (every path to it runs through From).
+	// dominatesOld answers "did a dominate b before the edit" with the
+	// pre-edit numbering. A new block stands exactly where its From
+	// stood (every path to it runs through From).
 	dominatesOld := func(a, b *ir.Block) bool {
 		if from, ok := newFrom[b]; ok {
 			b = from
 		}
-		for b != nil {
-			if a == b {
-				return true
-			}
-			b = idom[b.ID]
-		}
-		return false
+		return dominates(t.num, oldID[a], oldID[b])
 	}
 
 	// Decide the idom(To) promotions against the pre-edit relation
@@ -89,16 +87,18 @@ func (t *DomTree) PatchEdgeSplits(f *ir.Func, oldID map[*ir.Block]int, splits []
 		}
 	}
 	for _, s := range splits {
-		idom[s.NewBlock.ID] = s.From
+		idom[s.NewBlock.ID] = int32(s.From.ID)
 	}
 	for _, s := range promote {
-		idom[s.To.ID] = s.NewBlock
+		idom[s.To.ID] = int32(s.NewBlock.ID)
 	}
 
-	t.IDom = idom
-	t.Children = make([][]*ir.Block, n)
-	t.level = make([]int, n)
-	t.finish(f)
+	rpo := ReversePostorder(f)
+	order := make([]int32, len(rpo))
+	for i, b := range rpo {
+		order[i] = int32(b.ID)
+	}
+	t.finish(f, idom, order)
 	return true
 }
 

@@ -43,8 +43,11 @@ type snapshot struct {
 	entry  *ir.Block
 	blocks []*ir.Block
 	ids    []int
-	succs  [][]*ir.Edge
 	exits  []bool
+	// succs holds every block's successor edges in layout order;
+	// block i's are succs[succOff[i]:succOff[i+1]].
+	succs   []*ir.Edge
+	succOff []int
 }
 
 // NewBuilder returns a builder for f over maximal SESE regions (the
@@ -87,16 +90,21 @@ func (b *Builder) Build() (*PST, error) {
 
 func (b *Builder) takeSnap() {
 	f := b.f
+	n := len(f.Blocks)
 	s := snapshot{
-		entry:  f.Entry,
-		blocks: append([]*ir.Block(nil), f.Blocks...),
-		ids:    make([]int, len(f.Blocks)),
-		succs:  make([][]*ir.Edge, len(f.Blocks)),
-		exits:  make([]bool, len(f.Blocks)),
+		entry:   f.Entry,
+		blocks:  append([]*ir.Block(nil), f.Blocks...),
+		ids:     make([]int, n),
+		exits:   make([]bool, n),
+		succOff: make([]int, n+1),
 	}
 	for i, blk := range f.Blocks {
+		s.succOff[i+1] = s.succOff[i] + len(blk.Succs)
+	}
+	s.succs = make([]*ir.Edge, 0, s.succOff[n])
+	for i, blk := range f.Blocks {
 		s.ids[i] = blk.ID
-		s.succs[i] = append([]*ir.Edge(nil), blk.Succs...)
+		s.succs = append(s.succs, blk.Succs...)
 		s.exits[i] = blk.IsExit()
 	}
 	b.snap = s
@@ -112,11 +120,12 @@ func (b *Builder) snapValid() bool {
 		if blk != s.blocks[i] || blk.ID != s.ids[i] || blk.IsExit() != s.exits[i] {
 			return false
 		}
-		if len(blk.Succs) != len(s.succs[i]) {
+		succs := s.succs[s.succOff[i]:s.succOff[i+1]]
+		if len(blk.Succs) != len(succs) {
 			return false
 		}
 		for j, e := range blk.Succs {
-			if e != s.succs[i][j] {
+			if e != succs[j] {
 				return false
 			}
 		}

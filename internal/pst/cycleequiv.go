@@ -8,9 +8,10 @@
 package pst
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
+	"repro/internal/cfg"
 	"repro/internal/ir"
 )
 
@@ -23,13 +24,16 @@ type augGraph struct {
 	n     int
 	start int
 	end   int
-	// edges[i] describes augmented edge i.
+	// edges[i] describes augmented edge i; END->START is the last.
 	edges []augEdge
-	adj   [][]halfEdge // undirected adjacency: adj[node] = incident edges
+	// Undirected incidence in compressed sparse row form: the edges
+	// incident to node v are half[off[v]:off[v+1]], in edge order.
+	off  []int32
+	half []halfEdge
 }
 
 type augEdge struct {
-	from, to int
+	from, to int32
 	real     *ir.Edge  // nil for augmented edges
 	exitFrom *ir.Block // for exit->END edges, the exit block
 	isEntry  bool      // START->entry
@@ -37,37 +41,77 @@ type augEdge struct {
 }
 
 type halfEdge struct {
-	edge  int
-	other int
+	edge  int32
+	other int32
 }
 
 func buildAug(f *ir.Func) *augGraph {
 	n := len(f.Blocks)
-	g := &augGraph{f: f, n: n, start: n, end: n + 1}
-	add := func(e augEdge) {
-		idx := len(g.edges)
-		g.edges = append(g.edges, e)
-		_ = idx
+	m := 2
+	for _, b := range f.Blocks {
+		m += len(b.Succs)
+		if b.IsExit() {
+			m++
+		}
 	}
-	add(augEdge{from: g.start, to: f.Entry.ID, isEntry: true})
+	g := &augGraph{f: f, n: n, start: n, end: n + 1, edges: make([]augEdge, 0, m)}
+	g.edges = append(g.edges, augEdge{from: int32(g.start), to: int32(f.Entry.ID), isEntry: true})
 	for _, b := range f.Blocks {
 		for _, e := range b.Succs {
-			add(augEdge{from: e.From.ID, to: e.To.ID, real: e})
+			g.edges = append(g.edges, augEdge{from: int32(b.ID), to: int32(e.To.ID), real: e})
 		}
 		if b.IsExit() {
-			add(augEdge{from: b.ID, to: g.end, exitFrom: b})
+			g.edges = append(g.edges, augEdge{from: int32(b.ID), to: int32(g.end), exitFrom: b})
 		}
 	}
-	add(augEdge{from: g.end, to: g.start, isClose: true})
+	g.edges = append(g.edges, augEdge{from: int32(g.end), to: int32(g.start), isClose: true})
 
-	g.adj = make([][]halfEdge, n+2)
-	for i, e := range g.edges {
-		g.adj[e.from] = append(g.adj[e.from], halfEdge{edge: i, other: e.to})
+	g.off = make([]int32, n+3)
+	for _, e := range g.edges {
+		g.off[e.from+1]++
 		if e.from != e.to {
-			g.adj[e.to] = append(g.adj[e.to], halfEdge{edge: i, other: e.from})
+			g.off[e.to+1]++
 		}
 	}
+	for v := 0; v < n+2; v++ {
+		g.off[v+1] += g.off[v]
+	}
+	g.half = make([]halfEdge, g.off[n+2])
+	for i, e := range g.edges {
+		g.half[g.off[e.from]] = halfEdge{edge: int32(i), other: e.to}
+		g.off[e.from]++
+		if e.from != e.to {
+			g.half[g.off[e.to]] = halfEdge{edge: int32(i), other: e.from}
+			g.off[e.to]++
+		}
+	}
+	// off[v] now ends v's list; shift it back to start it.
+	copy(g.off[1:], g.off[:n+2])
+	g.off[0] = 0
 	return g
+}
+
+// edgeNode is augmented edge i's node in the split graph, which
+// numbers the n blocks, START and END as in the augmented graph and
+// then one node per augmented edge.
+func (g *augGraph) edgeNode(i int32) int { return g.n + 2 + int(i) }
+
+// splitGraph builds the edge-split directed graph used to order edges
+// of one class by dominance and to decide region membership: every
+// augmented edge i: u->v except END->START becomes u -> edgeNode(i) ->
+// v. END->START's node stays isolated.
+func splitGraph(g *augGraph) *cfg.Graph {
+	m := 2 * (len(g.edges) - 1)
+	from, to := make([]int32, 0, m), make([]int32, 0, m)
+	for i, e := range g.edges {
+		if e.isClose {
+			continue
+		}
+		en := int32(g.edgeNode(int32(i)))
+		from = append(from, e.from, en)
+		to = append(to, en, e.to)
+	}
+	return cfg.NewGraph(g.n+2+len(g.edges), from, to)
 }
 
 // xorshift is a tiny deterministic PRNG so cycle-equivalence class
@@ -108,62 +152,51 @@ func cycleEquivalence(g *augGraph) []sig {
 	nNodes := g.n + 2
 	nEdges := len(g.edges)
 
-	parent := make([]int, nNodes)     // parent node in DFS tree
-	parentEdge := make([]int, nNodes) // edge index to parent
-	order := make([]int, 0, nNodes)   // DFS preorder of nodes
-	state := make([]int, nNodes)      // 0 new, 1 open, 2 done
-	for i := range parent {
-		parent[i] = -1
-		parentEdge[i] = -1
-	}
-
-	isTree := make([]bool, nEdges)
-	isBack := make([]bool, nEdges)
+	parent := make([]int32, nNodes)     // parent node in DFS tree
+	parentEdge := make([]int32, nNodes) // edge index to parent
+	order := make([]int32, 0, nNodes)   // DFS preorder of nodes
+	seen := make([]bool, nNodes)
 	rng := xorshift(0x5eed1234abcd9876)
-	hashes := make([]sig, nEdges)
+	// acc[v] starts as the XOR of the backedge hashes at v and becomes
+	// the XOR over v's subtree.
 	acc := make([]sig, nNodes)
 	sigs := make([]sig, nEdges)
 	used := make([]bool, nEdges)
 
 	// Iterative DFS from START over the undirected multigraph.
-	type frame struct{ node, idx int }
-	stack := []frame{{g.start, 0}}
-	state[g.start] = 1
-	order = append(order, g.start)
+	type frame struct{ node, next int32 }
+	stack := []frame{{int32(g.start), g.off[g.start]}}
+	seen[g.start] = true
+	order = append(order, int32(g.start))
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
-		if fr.idx >= len(g.adj[fr.node]) {
-			state[fr.node] = 2
+		if fr.next >= g.off[fr.node+1] {
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		he := g.adj[fr.node][fr.idx]
-		fr.idx++
+		he := g.half[fr.next]
+		fr.next++
 		if used[he.edge] {
 			continue
 		}
 		used[he.edge] = true
-		e := g.edges[he.edge]
+		e := &g.edges[he.edge]
 		if e.from == e.to {
 			// Self-loop: unique singleton class.
-			hashes[he.edge] = sig{rng.next(), rng.next()}
-			sigs[he.edge] = hashes[he.edge]
+			sigs[he.edge] = sig{rng.next(), rng.next()}
 			continue
 		}
 		w := he.other
-		if state[w] == 0 {
-			isTree[he.edge] = true
+		if !seen[w] {
 			parent[w] = fr.node
 			parentEdge[w] = he.edge
-			state[w] = 1
+			seen[w] = true
 			order = append(order, w)
-			stack = append(stack, frame{w, 0})
+			stack = append(stack, frame{w, g.off[w]})
 		} else {
 			// Backedge (to an ancestor or finished node; in undirected
 			// DFS all non-tree edges connect to ancestors).
-			isBack[he.edge] = true
 			h := sig{rng.next(), rng.next()}
-			hashes[he.edge] = h
 			sigs[he.edge] = h
 			acc[e.from].xor(h)
 			acc[e.to].xor(h)
@@ -171,89 +204,46 @@ func cycleEquivalence(g *augGraph) []sig {
 	}
 
 	// Subtree XOR aggregation in reverse preorder (children first).
-	sub := make([]sig, nNodes)
-	for i := range sub {
-		sub[i] = acc[i]
-	}
 	for i := len(order) - 1; i >= 1; i-- {
 		v := order[i]
-		p := parent[v]
-		// Tree edge p-v carries the subtree XOR of v.
-		sigs[parentEdge[v]] = sub[v]
-		sub[p].xor(sub[v])
+		// Tree edge parent-v carries the subtree XOR of v.
+		sigs[parentEdge[v]] = acc[v]
+		acc[parent[v]].xor(acc[v])
 	}
-
-	_ = isTree
-	_ = isBack
 	return sigs
 }
 
-// splitGraph builds the edge-split directed graph used to order edges
-// of one class by dominance and to decide region membership: every
-// augmented edge e: u->v (except END->START) becomes u -> node(e) -> v.
-// It is represented as a bare ir.Func so the cfg dominator code can
-// run on it.
-type splitGraph struct {
-	g *ir.Func
-	// blockNode[b.ID] is the split-graph block for real block b.
-	blockNode []*ir.Block
-	// edgeNode[i] is the split-graph block for augmented edge i (nil
-	// for END->START).
-	edgeNode []*ir.Block
-	startN   *ir.Block
-	endN     *ir.Block
-}
-
-func buildSplit(a *augGraph) *splitGraph {
-	s := &splitGraph{g: ir.NewFunc(a.f.Name + ".split")}
-	s.startN = s.g.NewBlock("START")
-	s.blockNode = make([]*ir.Block, a.n)
-	for _, b := range a.f.Blocks {
-		s.blockNode[b.ID] = s.g.NewBlock("n." + b.Name)
+// groupClasses groups augmented edge indices by signature: each class
+// lists its edges in ascending order, and the classes are ordered by
+// their first edge.
+func groupClasses(sigs []sig) [][]int32 {
+	type keyed struct {
+		s    sig
+		edge int32
 	}
-	s.endN = s.g.NewBlock("END")
-	// END is the unique exit of the split graph; give it a ret so
-	// cfg.Postdominators can find it.
-	s.endN.Append(&ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg})
-	node := func(i int) *ir.Block {
-		switch i {
-		case a.start:
-			return s.startN
-		case a.end:
-			return s.endN
-		default:
-			return s.blockNode[i]
-		}
-	}
-	s.edgeNode = make([]*ir.Block, len(a.edges))
-	for i, e := range a.edges {
-		if e.isClose {
-			continue
-		}
-		en := s.g.NewBlock(fmt.Sprintf("e%d", i))
-		s.edgeNode[i] = en
-		s.g.AddEdge(node(e.from), en, ir.Jump, 0)
-		s.g.AddEdge(en, node(e.to), ir.Jump, 0)
-	}
-	s.g.RenumberBlocks()
-	return s
-}
-
-// classes groups augmented edge indices by signature, deterministic
-// order (by first edge index).
-func groupClasses(sigs []sig) [][]int {
-	bySig := make(map[sig][]int)
-	var keys []sig
+	ks := make([]keyed, len(sigs))
 	for i, s := range sigs {
-		if _, ok := bySig[s]; !ok {
-			keys = append(keys, s)
+		ks[i] = keyed{s, int32(i)}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int {
+		if c := cmp.Compare(x.s.a, y.s.a); c != 0 {
+			return c
 		}
-		bySig[s] = append(bySig[s], i)
+		if c := cmp.Compare(x.s.b, y.s.b); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.edge, y.edge)
+	})
+	flat := make([]int32, len(ks))
+	var classes [][]int32
+	for i := 0; i < len(ks); {
+		j := i
+		for ; j < len(ks) && ks[j].s == ks[i].s; j++ {
+			flat[j] = ks[j].edge
+		}
+		classes = append(classes, flat[i:j:j])
+		i = j
 	}
-	sort.Slice(keys, func(i, j int) bool { return bySig[keys[i]][0] < bySig[keys[j]][0] })
-	out := make([][]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, bySig[k])
-	}
-	return out
+	slices.SortFunc(classes, func(x, y []int32) int { return cmp.Compare(x[0], y[0]) })
+	return classes
 }

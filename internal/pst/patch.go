@@ -1,6 +1,7 @@
 package pst
 
 import (
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
@@ -48,10 +49,11 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 	m := b.memo
 
 	// Aug-edge index lookups over the pre-edit graph.
-	edgeIdx := make(map[*ir.Edge]int)
-	exitIdx := make(map[*ir.Block]int)
-	entryIdx := -1
+	edgeIdx := make(map[*ir.Edge]int32)
+	exitIdx := make(map[*ir.Block]int32)
+	entryIdx := int32(-1)
 	for i, e := range m.a.edges {
+		i := int32(i)
 		switch {
 		case e.real != nil:
 			edgeIdx[e.real] = i
@@ -84,25 +86,27 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 		}
 	}
 
-	oldNode := func(blk *ir.Block) *ir.Block {
+	// oldNode is a block's pre-edit split-graph node (its pre-edit ID),
+	// or -1 for an inserted block.
+	oldNode := func(blk *ir.Block) int {
 		id, ok := oldID[blk]
-		if !ok || id < 0 || id >= len(m.split.blockNode) {
-			return nil
+		if !ok || id < 0 || id >= m.a.n {
+			return -1
 		}
-		return m.split.blockNode[id]
+		return id
 	}
 
 	// Validate every split against the memo before mutating anything.
 	type splitInfo struct {
 		s          EdgeSplit
-		ie         int       // aug index of the split edge
-		fromN, toN *ir.Block // pre-edit split-graph nodes of From / To
+		ie         int32 // aug index of the split edge
+		fromN, toN int   // pre-edit split-graph nodes of From / To
 	}
 	sis := make([]splitInfo, 0, len(splits))
 	for _, s := range splits {
 		ie, ok := edgeIdx[s.OldEdge]
 		fn, tn := oldNode(s.From), oldNode(s.To)
-		if !ok || fn == nil || tn == nil || s.NewBlock == nil || s.FromEdge == nil || s.ToEdge == nil {
+		if !ok || fn < 0 || tn < 0 || s.NewBlock == nil || s.FromEdge == nil || s.ToEdge == nil {
 			return false
 		}
 		sis = append(sis, splitInfo{s, ie, fn, tn})
@@ -110,7 +114,7 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 
 	// Record each region's boundary as pre-edit aug-edge indices; -1
 	// encodes the root's virtual every-exit boundary.
-	type bounds struct{ a, b int }
+	type bounds struct{ a, b int32 }
 	rb := make(map[*Region]bounds, len(t.Regions)+len(sis))
 	for _, r := range t.Regions {
 		ba := entryIdx
@@ -121,7 +125,7 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 			}
 			ba = i
 		}
-		bb := -1
+		bb := int32(-1)
 		switch {
 		case r.ExitEdge != nil:
 			i, ok := edgeIdx[r.ExitEdge]
@@ -146,9 +150,9 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 	// 1. Re-index every region's membership to the post-edit block IDs
 	// (the member pointers in Blocks are unchanged, their IDs are not).
 	for _, r := range t.Regions {
-		r.in = make(map[int]bool, len(r.Blocks)+len(sis))
+		r.in = dataflow.NewBitSet(len(b.f.Blocks))
 		for _, blk := range r.Blocks {
-			r.in[blk.ID] = true
+			r.in.Set(blk.ID)
 		}
 	}
 
@@ -158,15 +162,15 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 		if classSize[si.ie] != 1 || classClose[si.ie] {
 			continue
 		}
-		en := m.split.edgeNode[si.ie]
-		r := &Region{EntryEdge: si.s.FromEdge, ExitEdge: si.s.ToEdge, in: make(map[int]bool)}
+		en := m.a.edgeNode(si.ie)
+		r := &Region{EntryEdge: si.s.FromEdge, ExitEdge: si.s.ToEdge, in: dataflow.NewBitSet(len(b.f.Blocks))}
 		for _, blk := range b.f.Blocks {
 			n := oldNode(blk)
-			if n == nil {
+			if n < 0 {
 				continue // an inserted block; placed in step 4
 			}
 			if m.dom.Dominates(en, n) && m.pdom.Dominates(en, n) {
-				r.in[blk.ID] = true
+				r.in.Set(blk.ID)
 				r.Blocks = append(r.Blocks, blk)
 			}
 		}
@@ -195,10 +199,10 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 	for _, si := range sis {
 		for _, r := range t.Regions {
 			bd := rb[r]
-			condA := bd.a == si.ie || m.dom.Dominates(m.split.edgeNode[bd.a], si.fromN)
-			condB := bd.b == -1 || bd.b == si.ie || m.pdom.Dominates(m.split.edgeNode[bd.b], si.toN)
+			condA := bd.a == si.ie || m.dom.Dominates(m.a.edgeNode(bd.a), si.fromN)
+			condB := bd.b == -1 || bd.b == si.ie || m.pdom.Dominates(m.a.edgeNode(bd.b), si.toN)
 			if condA && condB {
-				r.in[si.s.NewBlock.ID] = true
+				r.in.Set(si.s.NewBlock.ID)
 				r.Blocks = append(r.Blocks, si.s.NewBlock)
 			}
 		}

@@ -2,10 +2,12 @@ package pst
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/cfg"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 )
 
@@ -33,19 +35,22 @@ type Region struct {
 	// Depth is 0 for the root, increasing inward.
 	Depth int
 
-	in map[int]bool // block IDs
+	in *dataflow.BitSet // member block IDs
 }
+
+// has reports whether the block with the given ID is a member.
+func (r *Region) has(id int) bool { return id < r.in.Len() && r.in.Has(id) }
 
 // IsRoot reports whether the region is the whole procedure.
 func (r *Region) IsRoot() bool { return r.Parent == nil }
 
 // ContainsBlock reports whether b lies inside the region.
-func (r *Region) ContainsBlock(b *ir.Block) bool { return r.in[b.ID] }
+func (r *Region) ContainsBlock(b *ir.Block) bool { return r.has(b.ID) }
 
 // ContainsEdge reports whether both endpoints of e lie inside the
 // region (the region's own boundary edges are NOT contained).
 func (r *Region) ContainsEdge(e *ir.Edge) bool {
-	return r.in[e.From.ID] && r.in[e.To.ID]
+	return r.has(e.From.ID) && r.has(e.To.ID)
 }
 
 // EntryWeight is the dynamic execution count of the region's entry
@@ -136,48 +141,40 @@ func BuildMode(f *ir.Func, mode Mode) (*PST, error) {
 
 // internals holds the expensive intermediate structures of one PST
 // construction: the augmented graph, the cycle-equivalence classes,
-// and the edge-split graph with its dominator and postdominator trees.
-// A Builder memoizes them across calls; they stay valid for as long as
-// the CFG shape (blocks and edges) is unchanged.
+// and the dominator and postdominator trees of the edge-split graph
+// (see splitGraph for its node numbering). A Builder memoizes them
+// across calls; they stay valid for as long as the CFG shape (blocks
+// and edges) is unchanged.
 type internals struct {
 	a       *augGraph
-	sigs    []sig
-	classes [][]int
-	split   *splitGraph
-	dom     *cfg.DomTree
-	pdom    *cfg.DomTree
+	classes [][]int32
+	dom     *cfg.NodeDom
+	pdom    *cfg.NodeDom
 }
 
 func computeInternals(f *ir.Func) *internals {
 	a := buildAug(f)
-	sigs := cycleEquivalence(a)
-	split := buildSplit(a)
+	split := splitGraph(a)
 	return &internals{
 		a:       a,
-		sigs:    sigs,
-		classes: groupClasses(sigs),
-		split:   split,
-		dom:     cfg.Dominators(split.g),
-		pdom:    cfg.Postdominators(split.g),
+		classes: groupClasses(cycleEquivalence(a)),
+		dom:     cfg.NodeDominators(split, a.start),
+		pdom:    cfg.NodeDominators(split.Reverse(), a.end),
 	}
 }
 
 // buildWith constructs the region tree from precomputed internals.
 func buildWith(f *ir.Func, mode Mode, in *internals) (*PST, error) {
-	a, split, dom, pdom := in.a, in.split, in.dom, in.pdom
-
-	closeIdx := -1
-	for i, e := range a.edges {
-		if e.isClose {
-			closeIdx = i
-		}
-	}
+	a, dom, pdom := in.a, in.dom, in.pdom
+	closeIdx := int32(len(a.edges) - 1)
 
 	var regions []*Region
+	var edges []int32
+	var members, backing []*ir.Block
 	for _, class := range in.classes {
 		// Drop the END->START edge from the chain; it orders last.
 		hasClose := false
-		edges := class[:0:0]
+		edges = edges[:0]
 		for _, i := range class {
 			if i == closeIdx {
 				hasClose = true
@@ -189,60 +186,64 @@ func buildWith(f *ir.Func, mode Mode, in *internals) (*PST, error) {
 			continue
 		}
 		// Order the class chain by dominance of the split nodes.
-		sort.Slice(edges, func(x, y int) bool {
-			nx, ny := split.edgeNode[edges[x]], split.edgeNode[edges[y]]
-			return dom.Level(nx) < dom.Level(ny)
+		slices.SortFunc(edges, func(x, y int32) int {
+			return dom.Level(a.edgeNode(x)) - dom.Level(a.edgeNode(y))
 		})
 		// Verify the chain is totally ordered (defensive: theory says
 		// it always is; a hash collision would break it).
-		ok := true
 		for i := 0; i+1 < len(edges); i++ {
-			if !dom.Dominates(split.edgeNode[edges[i]], split.edgeNode[edges[i+1]]) {
-				ok = false
-				break
+			if !dom.Dominates(a.edgeNode(edges[i]), a.edgeNode(edges[i+1])) {
+				return nil, fmt.Errorf("pst.BuildMode(%s): cycle-equivalence class not chain-ordered (signature collision?)", f.Name)
 			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("pst.BuildMode(%s): cycle-equivalence class not chain-ordered (signature collision?)", f.Name)
 		}
 
-		// makeSpan builds the region between two chain positions; a to
-		// index of -1 means the virtual end (all procedure exits).
-		makeSpan := func(fromIdx, toIdx int) *Region {
-			first := a.edges[fromIdx]
-			r := &Region{in: make(map[int]bool)}
-			if !first.isEntry {
-				r.EntryEdge = first.real
-			}
-			var xn *ir.Block
+		// makeSpan builds the region between two chain positions, or
+		// nil when it holds no block; a to index of -1 means the
+		// virtual end (all procedure exits).
+		makeSpan := func(fromIdx, toIdx int32) *Region {
+			xn := -1
 			if toIdx >= 0 {
-				last := a.edges[toIdx]
-				if last.real != nil {
-					r.ExitEdge = last.real
-				} else {
-					r.ExitBlock = last.exitFrom
-				}
-				xn = split.edgeNode[toIdx]
+				xn = a.edgeNode(toIdx)
 			}
 			// Membership: block x is in region (a,b) iff node(a)
 			// dominates x and node(b) postdominates x in the edge-split
 			// graph.
-			en := split.edgeNode[fromIdx]
+			en := a.edgeNode(fromIdx)
+			members = members[:0]
 			for _, b := range f.Blocks {
-				nb := split.blockNode[b.ID]
-				if !dom.Dominates(en, nb) {
-					continue
+				if dom.Dominates(en, b.ID) && (xn < 0 || pdom.Dominates(xn, b.ID)) {
+					members = append(members, b)
 				}
-				if xn != nil && !pdom.Dominates(xn, nb) {
-					continue
+			}
+			if len(members) == 0 {
+				return nil
+			}
+			r := &Region{in: dataflow.NewBitSet(len(f.Blocks))}
+			if first := a.edges[fromIdx]; !first.isEntry {
+				r.EntryEdge = first.real
+			}
+			if toIdx >= 0 {
+				if last := a.edges[toIdx]; last.real != nil {
+					r.ExitEdge = last.real
+				} else {
+					r.ExitBlock = last.exitFrom
 				}
-				r.in[b.ID] = true
-				r.Blocks = append(r.Blocks, b)
+			}
+			// Every region's Blocks is carved from one shared array,
+			// capped so that appending to one reallocates it.
+			if cap(backing)-len(backing) < len(members) {
+				backing = make([]*ir.Block, 0, max(4*len(f.Blocks), len(members)))
+			}
+			k := len(backing)
+			backing = append(backing, members...)
+			r.Blocks = backing[k:len(backing):len(backing)]
+			for _, b := range members {
+				r.in.Set(b.ID)
 			}
 			return r
 		}
 		add := func(r *Region) {
-			if len(r.Blocks) > 0 {
+			if r != nil {
 				regions = append(regions, r)
 			}
 		}
@@ -285,7 +286,7 @@ func assemble(f *ir.Func, regions []*Region) (*Region, error) {
 	for _, r := range regions {
 		r.Parent = nil
 		r.Children = nil
-		sort.Slice(r.Blocks, func(i, j int) bool { return r.Blocks[i].ID < r.Blocks[j].ID })
+		slices.SortFunc(r.Blocks, func(x, y *ir.Block) int { return x.ID - y.ID })
 	}
 	// Nesting: parent = smallest region strictly containing the child.
 	// The comparator is a total order (distinct regions with identical
@@ -373,8 +374,8 @@ func containsAll(outer, inner *Region) bool {
 	if len(outer.Blocks) <= len(inner.Blocks) {
 		return false
 	}
-	for id := range inner.in {
-		if !outer.in[id] {
+	for _, b := range inner.Blocks {
+		if !outer.has(b.ID) {
 			return false
 		}
 	}
